@@ -1,7 +1,7 @@
-"""Comparing the exact nearest-neighbor structures on one dataset.
+"""Comparing the ball tree with the brute scan on one dataset.
 
-All three answer identically (that is checked first); the only question is
-speed. Ball and KD trees prune most of the data per query once the point
+Both answer identically (that is checked first); the only question is
+speed. The ball tree prunes most of the data per query once the point
 count is large, while the brute scan touches everything every time.
 """
 
@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from portcall import BallTree, KDTree, SyntheticConfig, brute_nearest, synth_records
+from portcall import BallTree, SyntheticConfig, brute_nearest, synth_records
 from portcall.embedding import FeatureWeights, embed_arrays
 
 
@@ -27,7 +27,6 @@ def main() -> None:
         0.0, 0.01, size=(300, 5))
 
     ball = BallTree(pts, leaf_size=32)
-    kd = KDTree(pts, leaf_size=32)
     print(f"ball tree: {ball.node_count} nodes, {ball.leaf_count} leaves, "
           f"containment slack {ball.containment_slack():.2e}")
 
@@ -35,10 +34,9 @@ def main() -> None:
     for q in queries[:50]:
         want = brute_nearest(pts, q)
         assert ball.nearest(q) == want
-        assert kd.nearest(q) == want
-    print("agreement: ball == kd == brute on 50 spot checks")
+    print("agreement: ball == brute on 50 spot checks")
 
-    for name, f in [("balltree", ball.nearest), ("kdtree", kd.nearest),
+    for name, f in [("balltree", ball.nearest),
                     ("brute", lambda q: brute_nearest(pts, q))]:
         t0 = time.perf_counter()
         for q in queries:

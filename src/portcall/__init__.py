@@ -14,11 +14,10 @@ from .classifier import (
     Prediction,
     RouteState,
     classify_point,
-    longest_run,
     similarity,
     train,
 )
-from .embedding import FeatureVector5, FeatureWeights, dist5, embed, embed_arrays
+from .embedding import FeatureWeights, embed, embed_arrays
 from .evaluation import (
     Scores,
     SyntheticConfig,
@@ -29,8 +28,8 @@ from .evaluation import (
     score_dataset,
     synth_records,
 )
-from .geo import GeoPoint, angular_diff_deg, great_circle_km, initial_bearing_deg
-from .index import BallTree, KDTree, brute_nearest
+from .geo import angular_diff_deg, great_circle_km, initial_bearing_deg
+from .index import BallTree, brute_nearest
 from .ingest import AisFormatError, AisRecord, load_ais_csv, parse_ais_csv
 from .params import ParamsFile, load_params, parse_params, save_params
 from .routes import Route, RoutePoint, enrich_route, partition_routes
@@ -42,12 +41,9 @@ __all__ = [
     "AisFormatError",
     "AisRecord",
     "BallTree",
-    "FeatureVector5",
     "FeatureWeights",
     "GaConfig",
     "Genome",
-    "GeoPoint",
-    "KDTree",
     "Model",
     "ModelParams",
     "ParamsFile",
@@ -60,7 +56,6 @@ __all__ = [
     "angular_diff_deg",
     "brute_nearest",
     "classify_point",
-    "dist5",
     "earliness",
     "embed",
     "embed_arrays",
@@ -72,7 +67,6 @@ __all__ = [
     "initial_bearing_deg",
     "load_ais_csv",
     "load_params",
-    "longest_run",
     "mae_minutes",
     "parse_ais_csv",
     "parse_params",

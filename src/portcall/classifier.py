@@ -15,7 +15,6 @@ and parallel runs emit identical predictions.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,11 +75,11 @@ class Model:
 class RouteState:
     """Per-query-route smoothing state; single writer.
 
-    Tracks the raw prediction history plus incremental longest-run
-    bookkeeping so each emitted port costs O(1).
+    Keeps only incremental longest-run bookkeeping, so each emitted port
+    costs O(1) time and the state stays the same size however long the
+    stream runs.
     """
 
-    history: list[str] = field(default_factory=list)
     _cur_value: str = ""
     _cur_len: int = 0
     _best_value: str = ""
@@ -92,7 +91,6 @@ class RouteState:
         The emitted port changes only when some run becomes strictly longer
         than the incumbent's, so equal-length ties never flip the output.
         """
-        self.history.append(raw_port)
         if raw_port == self._cur_value:
             self._cur_len += 1
         else:
@@ -111,33 +109,6 @@ class Prediction:
     arrival: int
     raw_port: str
     chosen_point_id: int
-
-
-def longest_run(history: list[str]) -> str:
-    """Value of the longest run of equal consecutive predictions.
-
-    Ties go to the most recent maximal run. Note this differs from
-    RouteState.push on ties: the stream smoother holds its incumbent until
-    a strictly longer run appears, because flipping the emitted port on a
-    tie would reintroduce the very instability smoothing exists to remove.
-    On tie-free histories both agree.
-    """
-    if not history:
-        raise ValueError("empty history")
-    best_value = history[0]
-    best_len = 0
-    cur_value = history[0]
-    cur_len = 0
-    for value in history:
-        if value == cur_value:
-            cur_len += 1
-        else:
-            cur_value = value
-            cur_len = 1
-        if cur_len >= best_len:
-            best_value = cur_value
-            best_len = cur_len
-    return best_value
 
 
 def train(routes: list[Route], params: ModelParams,
@@ -167,24 +138,15 @@ def train(routes: list[Route], params: ModelParams,
     return Model(params=params, per_port=per_port)
 
 
-def candidates_per_port(model: Model, q: RoutePoint,
-                        pool: Executor | None = None) -> list[tuple[str, RoutePoint, float]]:
-    """The exact nearest training point of each port, with its 5-D distance.
-
-    Per-port searches are independent; when ``pool`` is given they run on it,
-    and results are assembled in port order either way.
-    """
-    qv = embed(q.record.lat_deg, q.record.lon_deg, q.bearing_deg, model.params.weights).v
-    ports = model.ports
-
-    def one(port: str) -> tuple[str, RoutePoint, float]:
-        ix = model.per_port[port]
+def candidates_per_port(model: Model, q: RoutePoint) -> list[tuple[str, RoutePoint, float]]:
+    """The exact nearest training point of each port, in port order, with
+    its 5-D distance."""
+    qv = embed(q.record.lat_deg, q.record.lon_deg, q.bearing_deg, model.params.weights)
+    out = []
+    for port, ix in model.per_port.items():
         pid, dist = ix.tree.nearest(qv)
-        return port, ix.points[pid], dist
-
-    if pool is None:
-        return [one(port) for port in ports]
-    return list(pool.map(one, ports))
+        out.append((port, ix.points[pid], dist))
+    return out
 
 
 def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
@@ -211,8 +173,7 @@ def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
             * (1.0 + params.p_dist * d_dist))
 
 
-def classify_point(model: Model, state: RouteState, q: RoutePoint,
-                   pool: Executor | None = None) -> Prediction:
+def classify_point(model: Model, state: RouteState, q: RoutePoint) -> Prediction:
     """Predict destination port and arrival time for one streamed point.
 
     The arrival estimate always follows the similarity winner, even when
@@ -221,7 +182,7 @@ def classify_point(model: Model, state: RouteState, q: RoutePoint,
     best_sim = float("inf")
     winner: RoutePoint | None = None
     winner_port = ""
-    for port, cand, _dist in candidates_per_port(model, q, pool=pool):
+    for port, cand, _dist in candidates_per_port(model, q):
         sim = similarity(q, cand, model.params)
         if sim < best_sim or (sim == best_sim and winner is not None
                               and cand.point_id < winner.point_id):

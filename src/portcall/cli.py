@@ -3,7 +3,7 @@
 Subcommands cover the full workflow: ``gen`` writes a synthetic dataset,
 ``evaluate`` scores a model on labeled data, ``predict`` emits per-point
 predictions for an unlabeled stream, ``tune`` searches parameters with the
-genetic algorithm, and ``bench`` times the nearest-neighbor structures.
+genetic algorithm, and ``bench`` times the ball tree against the brute scan.
 
 Exit codes: 0 success, 1 file or parse error, 2 empty dataset. All data
 output is byte-identical for any --threads value; only wall-clock timings
@@ -24,14 +24,14 @@ import numpy as np
 from .classifier import Model, ModelParams, RouteState, classify_point, train
 from .embedding import FeatureWeights, embed, embed_arrays
 from .evaluation import SyntheticConfig, gen_synthetic, score_dataset, scores_csv
-from .index import DEFAULT_LEAF_SIZE, BallTree, KDTree, brute_nearest
+from .index import DEFAULT_LEAF_SIZE, BallTree, brute_nearest
 from .ingest import AisFormatError, format_timestamp, load_ais_csv
 from .params import ParamsFile, load_params, save_params
 from .routes import Route, enrich_route, partition_routes
 from .tuner import GaConfig, evolve, history_csv
 from . import __version__
 
-STRUCTURES = ("balltree", "kdtree", "brute")
+STRUCTURES = ("balltree", "brute")
 
 
 class CliError(Exception):
@@ -53,7 +53,10 @@ def _load_routes(path: str, labeled: bool) -> list[Route]:
         print(f"warning: {path}:{err.line}: {err.reason}", file=sys.stderr)
     if not records:
         raise CliError(f"{path}: no usable records", code=2)
-    routes = partition_routes(records, labeled=labeled)
+    try:
+        routes = partition_routes(records, labeled=labeled)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
     for route in routes:
         enrich_route(route)
     return routes
@@ -170,7 +173,7 @@ def _bench_queries(n: int, seed: int) -> np.ndarray:
     lons = rng.uniform(-180.0, 180.0, size=n)
     bearings = rng.uniform(0.0, 360.0, size=n)
     w = FeatureWeights()
-    return np.array([embed(lats[i], lons[i], bearings[i], w).v for i in range(n)])
+    return np.array([embed(lats[i], lons[i], bearings[i], w) for i in range(n)])
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -185,8 +188,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         if name == "balltree":
             built[name] = BallTree(pts, ids=ids, leaf_size=args.leaf_size)
-        elif name == "kdtree":
-            built[name] = KDTree(pts, ids=ids, leaf_size=args.leaf_size)
         else:
             built[name] = (pts.copy(), ids.copy())
         build_s[name] = time.perf_counter() - t0

@@ -3,7 +3,7 @@
 A point maps to (x, y, z, sin(bearing), cos(bearing)): the position on the
 unit sphere plus the travel direction as two components. Each dimension is
 scaled by a magnitude in [0, 1] so the tuner can grade how much it counts in
-the Euclidean metric the spatial indexes use. Scaling every magnitude by the
+the Euclidean metric the spatial index uses. Scaling every magnitude by the
 same factor scales all pairwise distances uniformly, so nearest-neighbor
 identity only depends on the magnitude ratios.
 """
@@ -37,26 +37,19 @@ class FeatureWeights:
         return np.array([self.m_x, self.m_y, self.m_z, self.m_sin, self.m_cos])
 
 
-@dataclass(frozen=True)
-class FeatureVector5:
-    v: np.ndarray
-    owner_point_id: int = -1
-
-
 def embed(lat_deg: float, lon_deg: float, bearing_deg: float,
-          w: FeatureWeights, owner_point_id: int = -1) -> FeatureVector5:
+          w: FeatureWeights) -> np.ndarray:
     """Embed one point into the magnitude-weighted 5-D feature space."""
     phi = radians(lat_deg)
     lam = radians(lon_deg)
     beta = radians(bearing_deg)
-    v = np.array([
+    return np.array([
         w.m_x * cos(phi) * cos(lam),
         w.m_y * cos(phi) * sin(lam),
         w.m_z * sin(phi),
         w.m_sin * sin(beta),
         w.m_cos * cos(beta),
     ])
-    return FeatureVector5(v=v, owner_point_id=owner_point_id)
 
 
 def embed_arrays(lat_deg: np.ndarray, lon_deg: np.ndarray, bearing_deg: np.ndarray,
@@ -74,11 +67,3 @@ def embed_arrays(lat_deg: np.ndarray, lon_deg: np.ndarray, bearing_deg: np.ndarr
     out[:, 4] = w.m_cos * np.cos(beta)
     return out
 
-
-def _as_vec(u: FeatureVector5 | np.ndarray) -> np.ndarray:
-    return u.v if isinstance(u, FeatureVector5) else np.asarray(u, dtype=float)
-
-
-def dist5(u: FeatureVector5 | np.ndarray, v: FeatureVector5 | np.ndarray) -> float:
-    """Euclidean distance in the 5-D feature space."""
-    return float(np.linalg.norm(_as_vec(u) - _as_vec(v)))

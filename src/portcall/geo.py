@@ -6,7 +6,6 @@ Coordinates are decimal degrees, positive north/east.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import asin, atan2, cos, degrees, radians, sin, sqrt
 
 EARTH_RADIUS_KM = 6371.0
@@ -21,22 +20,6 @@ def normalize_lon(lon_deg: float) -> float:
     if -180.0 <= lon_deg <= 180.0:
         return lon_deg
     return (lon_deg + 180.0) % 360.0 - 180.0
-
-
-@dataclass(frozen=True)
-class GeoPoint:
-    """A validated (lat, lon) pair; longitude is wrapped on construction."""
-
-    lat_deg: float
-    lon_deg: float
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat_deg <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat_deg}")
-        object.__setattr__(self, "lon_deg", normalize_lon(self.lon_deg))
-
-    def distance_km(self, other: "GeoPoint") -> float:
-        return great_circle_km(self.lat_deg, self.lon_deg, other.lat_deg, other.lon_deg)
 
 
 def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

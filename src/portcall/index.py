@@ -1,14 +1,14 @@
-"""Exact nearest-neighbor structures over 5-D feature vectors.
+"""Exact nearest-neighbor search over 5-D feature vectors.
 
-Provides a ball tree (the structure used by the classifier), a KD tree kept
-as a benchmark baseline, and a vectorized linear scan used as the test oracle
-and the brute benchmark arm. All three return the exact nearest point under
-the Euclidean metric, breaking distance ties toward the smallest point id, so
-any two of them can be cross-checked for identical results.
+Provides a ball tree (the structure used by the classifier) and a vectorized
+linear scan used as the test oracle and the brute benchmark arm. Both return
+the exact nearest point under the Euclidean metric, breaking distance ties
+toward the smallest point id, so they can be cross-checked for identical
+results.
 
 Storage follows the usual array-backed layout: points are permuted once at
 build time so every node owns a contiguous slice, and nodes live in flat
-arrays indexed by position. Both trees split the dimension of maximum spread
+arrays indexed by position. The tree splits the dimension of maximum spread
 at the median, which is deterministic for a fixed input order. Queries walk
 an explicit stack, pruning a subtree only when its lower-bound distance
 strictly exceeds the current best, so equal-distance candidates are always
@@ -38,6 +38,8 @@ def _check_points(points: np.ndarray, ids: Sequence[int] | None) -> tuple[np.nda
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if ids is None:
         id_arr = np.arange(pts.shape[0], dtype=np.int64)
     else:
@@ -58,6 +60,8 @@ def brute_nearest(points: np.ndarray, q: np.ndarray,
     pts, id_arr = _check_points(points, ids)
     d = _row_distances(pts, np.asarray(q, dtype=np.float64))
     best = d.min()
+    if not np.isfinite(best):
+        raise ValueError("query must be finite")
     return int(id_arr[d == best].min()), float(best)
 
 
@@ -186,6 +190,10 @@ class BallTree:
                 if lb_l <= best:
                     stack.append((lchild, lb_l))
                 stack.append((rchild, lb_r))
+        # a non-finite query has no finite distance to any point, so no leaf
+        # offers a candidate
+        if best_id < 0:
+            raise ValueError("query must be finite")
         return best_id, best, stats
 
     # -- diagnostics ---------------------------------------------------------
@@ -199,109 +207,3 @@ class BallTree:
             d = _row_distances(seg, np.asarray(self._centroid[node]))
             worst = max(worst, float(d.max() - self._radius[node]))
         return worst
-
-    def node_points(self, node: int) -> np.ndarray:
-        return self._pts[self._start[node]:self._end[node]]
-
-
-class KDTree:
-    """Exact nearest-neighbor KD tree; benchmark baseline for the ball tree.
-
-    Same split rule, tie rule and query contract as BallTree, pruning with
-    the splitting-plane distance instead of ball bounds.
-    """
-
-    def __init__(self, points: np.ndarray, ids: Sequence[int] | None = None,
-                 leaf_size: int = DEFAULT_LEAF_SIZE):
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
-        pts, id_arr = _check_points(points, ids)
-        self.leaf_size = leaf_size
-        self._pts = pts.copy()
-        self._ids = id_arr.copy()
-
-        self._dim: list[int] = []
-        self._split: list[float] = []
-        self._start: list[int] = []
-        self._end: list[int] = []
-        self._left: list[int] = []
-        self._right: list[int] = []
-        self._build(0, len(self._pts))
-
-    def _build(self, start: int, end: int) -> int:
-        node = len(self._dim)
-        self._dim.append(-1)
-        self._split.append(0.0)
-        self._start.append(start)
-        self._end.append(end)
-        self._left.append(-1)
-        self._right.append(-1)
-
-        if end - start > self.leaf_size:
-            seg = self._pts[start:end]
-            spread = seg.max(axis=0) - seg.min(axis=0)
-            dim = int(np.argmax(spread))
-            mid = start + (end - start) // 2
-            order = np.argpartition(seg[:, dim], mid - start)
-            self._pts[start:end] = seg[order]
-            self._ids[start:end] = self._ids[start:end][order]
-            self._dim[node] = dim
-            self._split[node] = float(self._pts[mid, dim])
-            self._left[node] = self._build(start, mid)
-            self._right[node] = self._build(mid, end)
-        return node
-
-    @property
-    def n_points(self) -> int:
-        return len(self._pts)
-
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for child in self._left if child < 0)
-
-    def nearest(self, q: np.ndarray) -> tuple[int, float]:
-        pid, dist, _ = self._search(q, None)
-        return pid, dist
-
-    def nearest_with_stats(self, q: np.ndarray) -> tuple[int, float, QueryStats]:
-        stats = QueryStats()
-        pid, dist, _ = self._search(q, stats)
-        return pid, dist, stats
-
-    def _search(self, q: np.ndarray, stats: QueryStats | None):
-        qa = np.asarray(q, dtype=np.float64)
-        qf = [float(x) for x in qa]
-        best = float("inf")
-        best_id = -1
-
-        stack = [(0, 0.0)]
-        while stack:
-            node, lb = stack.pop()
-            if lb > best:
-                continue
-            if stats is not None:
-                stats.nodes_visited += 1
-            if self._left[node] < 0:
-                if stats is not None:
-                    stats.leaves_visited += 1
-                s, e = self._start[node], self._end[node]
-                d = _row_distances(self._pts[s:e], qa)
-                m = float(d.min())
-                if m < best:
-                    best = m
-                    best_id = int(self._ids[s:e][d == m].min())
-                elif m == best:
-                    cand = int(self._ids[s:e][d == m].min())
-                    if cand < best_id:
-                        best_id = cand
-                continue
-            plane = qf[self._dim[node]] - self._split[node]
-            if plane <= 0.0:
-                near, far = self._left[node], self._right[node]
-            else:
-                near, far = self._right[node], self._left[node]
-            lb_far = abs(plane)
-            if lb_far <= best:
-                stack.append((far, lb_far))
-            stack.append((near, lb))
-        return best_id, best, stats

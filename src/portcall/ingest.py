@@ -8,6 +8,7 @@ Training ("labeled") files carry ARRIVAL_TIME and ARRIVAL_PORT; query files
 use the same header with those two columns empty. Timestamps are either
 ``YYYY-MM-DDTHH:MM:SS`` (UTC assumed) or integer epoch seconds. A heading of
 511 means "unavailable" per the AIS standard and is mapped to missing.
+Every numeric field must be finite: ``nan`` and ``inf`` are rejected.
 Malformed rows are collected as RowError values, never silently dropped.
 """
 
@@ -17,6 +18,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from math import isfinite
 from typing import IO, Iterable
 
 AIS_HEADER = [
@@ -86,10 +88,17 @@ def format_timestamp(epoch_s: int) -> str:
     return datetime.fromtimestamp(epoch_s, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
 
 
+def _float(field: str, name: str) -> float:
+    value = float(field)
+    if not isfinite(value):
+        raise ValueError(f"{name} is not finite")
+    return value
+
+
 def _opt_float(field: str, name: str, minimum: float | None = None) -> float | None:
     if field == "":
         return None
-    value = float(field)
+    value = _float(field, name)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return value
@@ -104,13 +113,13 @@ def _parse_row(fields: list[str], labeled: bool) -> AisRecord:
     if not ship_id:
         raise ValueError("empty ship id")
     ship_type_i = int(ship_type)
-    speed_f = float(speed)
+    speed_f = _float(speed, "speed")
     if speed_f < 0:
         raise ValueError("negative speed")
-    lat_f = float(lat)
+    lat_f = _float(lat, "latitude")
     if not -90.0 <= lat_f <= 90.0:
         raise ValueError("latitude out of range")
-    lon_f = normalize_lon(float(lon))
+    lon_f = normalize_lon(_float(lon, "longitude"))
 
     course_f = _opt_float(course, "course")
     if course_f is not None and not 0.0 <= course_f < 360.0:

@@ -10,7 +10,7 @@ labeled data) the remaining time to arrival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geo import great_circle_km, initial_bearing_deg
 from .ingest import AisRecord
@@ -25,7 +25,6 @@ class RoutePoint:
     bearing_deg: float = 0.0
     dist_from_departure_km: float = 0.0
     remaining_time_s: int | None = None
-    prev: "RoutePoint | None" = field(default=None, repr=False, compare=False)
 
     @property
     def course_deg(self) -> float:
@@ -52,7 +51,8 @@ class Route:
 def partition_routes(records: list[AisRecord], labeled: bool = True) -> list[Route]:
     """Split records into routes; points sorted by timestamp (stable).
 
-    Labeled records group by the (ship_id, departure_port, arrival_time) key.
+    Labeled records group by the (ship_id, departure_port, arrival_time) key;
+    a group whose rows name different arrival ports raises ValueError.
     Unlabeled records group per ship in timestamp order, breaking a segment
     whenever the departure port changes. Every record lands in exactly one
     route; point ids are assigned sequentially over the returned routes.
@@ -65,8 +65,12 @@ def partition_routes(records: list[AisRecord], labeled: bool = True) -> list[Rou
             groups.setdefault((rec.ship_id, rec.departure_port, rec.arrival_time), []).append(rec)
         for (ship_id, dep, arr_time), recs in groups.items():
             recs.sort(key=lambda r: r.timestamp)
+            route_id = f"{ship_id}:{dep}:{arr_time}"
+            ports = sorted({r.arrival_port for r in recs})
+            if len(ports) > 1:
+                raise ValueError(f"route {route_id} has conflicting arrival ports {ports}")
             routes.append(Route(
-                route_id=f"{ship_id}:{dep}:{arr_time}",
+                route_id=route_id,
                 ship_id=ship_id,
                 departure_port=dep,
                 arrival_port=recs[0].arrival_port,
@@ -138,6 +142,5 @@ def enrich_route(route: Route) -> Route:
                 prec.lat_deg, prec.lon_deg, rec.lat_deg, rec.lon_deg)
         if route.arrival_time is not None:
             pt.remaining_time_s = route.arrival_time - rec.timestamp
-        pt.prev = prev
         prev = pt
     return route

@@ -20,7 +20,6 @@ import numpy as np
 from .classifier import ModelParams, train
 from .embedding import FeatureWeights
 from .evaluation import score_dataset
-from .index import DEFAULT_LEAF_SIZE
 from .routes import Route
 
 PENALTY_MAX = 10.0
@@ -61,17 +60,13 @@ class Genome:
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in GENE_NAMES])
 
-    def to_params(self, base: ModelParams | None = None) -> ModelParams:
-        base = base or ModelParams()
+    def to_params(self) -> ModelParams:
         return ModelParams(
             weights=FeatureWeights(self.m_x, self.m_y, self.m_z, self.m_sin, self.m_cos),
             p_course=self.p_course,
             p_heading=self.p_heading,
             p_speed=self.p_speed,
             p_dist=self.p_dist,
-            norm_speed_knots=base.norm_speed_knots,
-            norm_dist_km=base.norm_dist_km,
-            smoothing_enabled=base.smoothing_enabled,
         )
 
 
@@ -99,13 +94,16 @@ class GaConfig:
 
 
 def fitness(genome: Genome, train_routes: list[Route], val_routes: list[Route],
-            fitness_lambda: float = 0.5, leaf_size: int = DEFAULT_LEAF_SIZE,
-            workers: int | None = 1) -> float:
-    """Earliness plus a bounded arrival-accuracy bonus on the holdout split."""
+            fitness_lambda: float = 0.5) -> float:
+    """Earliness plus a bounded arrival-accuracy bonus on the holdout split.
+
+    Trains with the default leaf size and scores on the calling thread; the
+    GA parallelizes across genomes, not within one.
+    """
     if not train_routes or not val_routes:
         raise ValueError("both splits must be non-empty")
-    model = train(train_routes, genome.to_params(), leaf_size=leaf_size)
-    scores = score_dataset(model, val_routes, workers=workers)
+    model = train(train_routes, genome.to_params())
+    scores = score_dataset(model, val_routes, workers=1)
     arrival_term = max(0.0, 1.0 - scores.mae_minutes / MAE_CEILING_MINUTES)
     return scores.avg_earliness + fitness_lambda * arrival_term
 
@@ -153,7 +151,7 @@ def evolve(routes: list[Route], cfg: GaConfig,
         if missing:
             def run(key: tuple[float, ...]) -> float:
                 return fitness(Genome.from_array(np.array(key)), train_part, val_part,
-                               fitness_lambda=cfg.fitness_lambda, workers=1)
+                               fitness_lambda=cfg.fitness_lambda)
             if workers is not None and workers <= 1:
                 results = [run(k) for k in missing]
             else:

@@ -19,7 +19,7 @@ from portcall.evaluation import (
     synth_records,
 )
 from portcall.geo import great_circle_km
-from portcall.index import BallTree, KDTree, brute_nearest
+from portcall.index import BallTree, brute_nearest
 from portcall.routes import enrich_route, partition_routes
 from portcall.tuner import GaConfig, Genome, evolve, fitness, split_routes
 from tests.test_geo import oracle_great_circle_km
@@ -59,15 +59,12 @@ def test_criterion_1_nn_exactness(capsys):
             n = int(rng.integers(1, 2001))
             pts = random_instance(rng, n)
             ball = BallTree(pts, leaf_size=16)
-            kd = KDTree(pts, leaf_size=16)
             for _ in range(50):
                 q = rng.uniform(-2.0, 2.0, size=5)
                 want_id, want_d = brute_nearest(pts, q)
                 ball_id, ball_d = ball.nearest(q)
-                kd_id, kd_d = kd.nearest(q)
-                assert ball_id == want_id and kd_id == want_id
+                assert ball_id == want_id
                 assert abs(ball_d - want_d) <= 1e-9
-                assert abs(kd_d - want_d) <= 1e-9
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 

@@ -9,7 +9,6 @@ from portcall.classifier import (
     ModelParams,
     RouteState,
     classify_point,
-    longest_run,
     similarity,
     train,
 )
@@ -95,7 +94,7 @@ def test_candidates_one_per_port_and_brute_agreement():
     assert [port for port, _, _ in cands] == ["PORTA", "PORTB", "PORTC"]
 
     qv = embed(q.record.lat_deg, q.record.lon_deg, q.bearing_deg,
-               model.params.weights).v
+               model.params.weights)
     for port, cand, dist in cands:
         pts = [p for r in routes if r.arrival_port == port for p in r.points]
         data = embed_arrays(np.array([p.record.lat_deg for p in pts]),
@@ -176,14 +175,28 @@ def test_similarity_monotone_in_each_penalty():
         assert hi >= lo
 
 
-def test_longest_run_examples():
-    assert longest_run(["A"]) == "A"
-    assert longest_run(["A", "A", "B"]) == "A"
-    # equal-length runs: the most recent one wins
-    assert longest_run(["A", "A", "B", "B"]) == "B"
-    assert longest_run(["B", "A", "A"]) == "A"
-    with pytest.raises(ValueError):
-        longest_run([])
+def earliest_strict_longest_run(history):
+    """Oracle: value of the first run to reach the longest length seen in
+    the prefix; a later run of equal length never takes over."""
+    runs = []  # [value, length] per maximal run, in order
+    for value in history:
+        if runs and runs[-1][0] == value:
+            runs[-1][1] += 1
+        else:
+            runs.append([value, 1])
+    longest = max(length for _, length in runs)
+    return next(value for value, length in runs if length == longest)
+
+
+def test_route_state_matches_oracle_sweep():
+    rng = np.random.default_rng(41)
+    for _ in range(600):
+        ports = ["A", "B", "C"][:int(rng.integers(2, 4))]
+        history = [ports[i] for i in rng.integers(0, len(ports), size=int(rng.integers(1, 41)))]
+        state = RouteState()
+        emitted = [state.push(p) for p in history]
+        assert emitted == [earliest_strict_longest_run(history[:k + 1])
+                           for k in range(len(history))]
 
 
 def test_route_state_never_flips_on_tie():
@@ -200,7 +213,6 @@ def test_route_state_tracks_longest_run_when_unambiguous():
     state = RouteState()
     emitted = [state.push(p) for p in ["A", "B", "B", "B"]]
     assert emitted == ["A", "A", "B", "B"]
-    assert state.history == ["A", "B", "B", "B"]
 
 
 def test_classify_first_point_emits_raw():

@@ -75,6 +75,18 @@ def test_evaluate_bad_header_exit_1(tmp_path, tiny_train, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_conflicting_labels_exit_1(tmp_path, tiny_train, capsys):
+    rows = tiny_train.read_text().splitlines()
+    fields = rows[2].split(",")
+    fields[-1] = "ELSEWHERE"
+    rows[2] = ",".join(fields)
+    bad = tmp_path / "conflict.csv"
+    bad.write_text("\n".join(rows) + "\n")
+    assert main(["evaluate", "--train", str(bad), "--test", str(tiny_train)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "conflicting arrival ports" in err
+
+
 def test_evaluate_thread_invariance(tmp_path, capsys):
     data = tmp_path / "d.csv"
     assert main(["gen", "--ports", "3", "--routes-per-port", "3",
@@ -170,7 +182,7 @@ def test_bench_gate_and_report(tmp_path, tiny_train, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("correctness=ok")
     names = [line.split()[0] for line in lines[1:]]
-    assert names == ["structure=balltree", "structure=kdtree", "structure=brute"]
+    assert names == ["structure=balltree", "structure=brute"]
     for line in lines[1:]:
         fields = dict(part.split("=") for part in line.split())
         assert float(fields["build_seconds"]) >= 0.0

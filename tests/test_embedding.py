@@ -5,24 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from portcall.embedding import FeatureWeights, dist5, embed, embed_arrays
+from portcall.embedding import FeatureWeights, embed, embed_arrays
 
 
 def test_equator_east_all_ones():
     w = FeatureWeights(1, 1, 1, 1, 1)
-    v = embed(0.0, 0.0, 90.0, w).v
+    v = embed(0.0, 0.0, 90.0, w)
     assert np.allclose(v, [1.0, 0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_all_zero_magnitudes():
     w = FeatureWeights(0, 0, 0, 0, 0)
-    v = embed(12.0, 34.0, 56.0, w).v
+    v = embed(12.0, 34.0, 56.0, w)
     assert np.allclose(v, np.zeros(5), atol=0.0)
 
 
 def test_north_pole_heading_north():
     w = FeatureWeights(1, 1, 1, 1, 1)
-    v = embed(90.0, 123.0, 0.0, w).v
+    v = embed(90.0, 123.0, 0.0, w)
     assert np.allclose(v, [0.0, 0.0, 1.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -50,7 +50,7 @@ def test_embed_matches_direct_formula():
             0.6 * math.sin(beta),
             0.5 * math.cos(beta),
         ]
-        assert np.allclose(embed(lat, lon, bearing, w).v, want, atol=1e-12)
+        assert np.allclose(embed(lat, lon, bearing, w), want, atol=1e-12)
 
 
 def test_embed_arrays_matches_scalar():
@@ -61,18 +61,8 @@ def test_embed_arrays_matches_scalar():
     bearings = rng.uniform(0, 360, size=100)
     block = embed_arrays(lats, lons, bearings, w)
     for i in range(100):
-        assert np.allclose(block[i], embed(lats[i], lons[i], bearings[i], w).v,
+        assert np.allclose(block[i], embed(lats[i], lons[i], bearings[i], w),
                            atol=1e-12)
-
-
-def test_dist5_examples_and_oracle():
-    assert dist5(np.zeros(5), np.zeros(5)) == 0.0
-    assert dist5(np.array([1.0, 0, 0, 0, 0]), np.zeros(5)) == 1.0
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        u, v = rng.normal(size=5), rng.normal(size=5)
-        want = math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
-        assert dist5(u, v) == pytest.approx(want, rel=1e-12)
 
 
 def test_argmin_invariant_under_uniform_scaling():
@@ -90,8 +80,8 @@ def test_argmin_invariant_under_uniform_scaling():
         pts_a = embed_arrays(lats, lons, bearings, base)
         pts_b = embed_arrays(lats, lons, bearings, scaled)
         for qi in range(10):
-            q_a = embed(lats[qi] + 1.0, lons[qi], bearings[qi], base).v
-            q_b = embed(lats[qi] + 1.0, lons[qi], bearings[qi], scaled).v
+            q_a = embed(lats[qi] + 1.0, lons[qi], bearings[qi], base)
+            q_b = embed(lats[qi] + 1.0, lons[qi], bearings[qi], scaled)
             d_a = np.linalg.norm(pts_a - q_a, axis=1)
             d_b = np.linalg.norm(pts_b - q_b, axis=1)
             assert int(np.argmin(d_a)) == int(np.argmin(d_b))
@@ -105,6 +95,6 @@ def test_injective_on_position():
     for _ in range(2000):
         lat = round(rng.uniform(-89, 89), 4)
         lon = round(rng.uniform(-179, 179), 4)
-        key = tuple(np.round(embed(lat, lon, 0.0, w).v[:3], 12))
+        key = tuple(np.round(embed(lat, lon, 0.0, w)[:3], 12))
         assert key not in seen
         seen.add(key)

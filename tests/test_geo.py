@@ -7,7 +7,6 @@ import pytest
 
 from portcall.geo import (
     EARTH_RADIUS_KM,
-    GeoPoint,
     angular_diff_deg,
     great_circle_km,
     initial_bearing_deg,
@@ -116,11 +115,3 @@ def test_normalize_lon():
     assert normalize_lon(0.0) == 0.0
     assert normalize_lon(540.0) == pytest.approx(-180.0)
 
-
-def test_geopoint_validation_and_distance():
-    p = GeoPoint(10.0, 190.0)
-    assert p.lon_deg == pytest.approx(-170.0)
-    with pytest.raises(ValueError):
-        GeoPoint(95.0, 0.0)
-    a, b = GeoPoint(0.0, 0.0), GeoPoint(0.0, 1.0)
-    assert a.distance_km(b) == pytest.approx(great_circle_km(0, 0, 0, 1))

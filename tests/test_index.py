@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from portcall.index import BallTree, KDTree, brute_nearest
+from portcall.index import BallTree, brute_nearest
 
 
 def random_instance(rng, n):
@@ -61,10 +61,7 @@ def test_tie_breaks_to_smallest_id():
         [-1.0, 0.0, 0.0, 0.0, 0.0],
     ])
     q = np.zeros(5)
-    for make in (lambda: BallTree(pts), lambda: KDTree(pts)):
-        pid, dist = make().nearest(q)
-        assert pid == 0
-        assert dist == 1.0
+    assert BallTree(pts).nearest(q) == (0, 1.0)
     assert brute_nearest(pts, q) == (0, 1.0)
 
     # same geometry, custom ids: the smaller id must win regardless of order
@@ -78,18 +75,30 @@ def test_agreement_with_brute_and_reference():
         n = int(rng.integers(1, 600))
         pts = random_instance(rng, n)
         ball = BallTree(pts, leaf_size=16)
-        kd = KDTree(pts, leaf_size=16)
         for _ in range(20):
             q = rng.uniform(-2, 2, size=5)
             b_id, b_d = brute_nearest(pts, q)
             t_id, t_d = ball.nearest(q)
-            k_id, k_d = kd.nearest(q)
             r_id, r_d = reference_nearest(pts, q)
-            assert (t_id, k_id) == (b_id, b_id)
-            assert b_id == r_id
+            assert t_id == b_id == r_id
             assert t_d == pytest.approx(b_d, abs=1e-9)
-            assert k_d == pytest.approx(b_d, abs=1e-9)
             assert b_d == pytest.approx(r_d, abs=1e-9)
+
+
+def test_ties_and_duplicates_match_brute_sweep():
+    """Lattice points make exact distance ties and duplicate points common;
+    the tree must pick the same smallest id at the same distance as the
+    linear scan, for every leaf size."""
+    rng = np.random.default_rng(39)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        pts = rng.integers(-1, 2, size=(n, 5)).astype(float)
+        ids = rng.permutation(10 * n)[:n]
+        queries = rng.integers(-2, 3, size=(20, 5)) / 2.0
+        for leaf_size in (1, 4, 32):
+            tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
+            for q in queries:
+                assert tree.nearest(q) == brute_nearest(pts, q, ids)
 
 
 def test_leaf_size_variations_agree():
@@ -147,6 +156,20 @@ def test_input_validation():
         BallTree(np.zeros((4, 3)))
     with pytest.raises(ValueError):
         BallTree(np.zeros((4, 5)), leaf_size=0)
+    pts = np.zeros((4, 5))
+    pts[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        BallTree(pts)
+    tree = BallTree(np.eye(5), leaf_size=2)
+    for bad in (np.nan, np.inf, -np.inf):
+        q = np.zeros(5)
+        q[3] = bad
+        with pytest.raises(ValueError):
+            tree.nearest(q)
+        with pytest.raises(ValueError):
+            tree.nearest_with_stats(q)
+        with pytest.raises(ValueError):
+            brute_nearest(np.eye(5), q)
 
 
 def test_build_does_not_mutate_input():
@@ -154,5 +177,4 @@ def test_build_does_not_mutate_input():
     pts = random_instance(rng, 128)
     snapshot = pts.copy()
     BallTree(pts, leaf_size=4)
-    KDTree(pts, leaf_size=4)
     assert np.array_equal(pts, snapshot)

@@ -95,6 +95,20 @@ def test_row_error_accounting():
     assert [e.line for e in errors] == [3, 4, 5]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["SPEED", "LON", "LAT", "COURSE", "HEADING",
+                                    "REPORTED_DRAUGHT"])
+def test_non_finite_value_is_row_error(column, value):
+    fields = GOOD_LABELED.split(",")
+    fields[AIS_HEADER.index(column)] = value
+    rows = [GOOD_LABELED, ",".join(fields), GOOD_LABELED]
+    records, errors = parse_ais_csv(HEADER + "\n" + "\n".join(rows) + "\n", labeled=True)
+    assert len(records) + len(errors) == len(rows)
+    assert len(records) == 2
+    assert [e.line for e in errors] == [3]
+    assert "not finite" in errors[0].reason
+
+
 def test_labeled_requires_arrival_fields():
     records, errors = parse_ais_csv(f"{HEADER}\n{GOOD_UNLABELED}\n", labeled=True)
     assert records == []

@@ -39,6 +39,12 @@ def test_same_ship_two_arrival_times_two_routes():
     assert all(len(r.points) == 2 for r in routes)
 
 
+def test_conflicting_arrival_ports_rejected():
+    records = [make_record(ts=1000), make_record(ts=1100, arr_port="CHARLIE")]
+    with pytest.raises(ValueError, match="SHIP_A:ALFA:5000"):
+        partition_routes(records)
+
+
 def test_out_of_order_timestamps_sorted():
     records = [make_record(ts=t) for t in (1300, 1000, 1200, 1100)]
     (route,) = partition_routes(records)
