@@ -1,8 +1,9 @@
 """Comparing the ball tree with the brute scan on one dataset.
 
 Both answer identically (that is checked first); the only question is
-speed. The ball tree prunes most of the data per query once the point
-count is large, while the brute scan touches everything every time.
+speed. The ball tree bounds each of its leaves by centroid and radius and
+scans the points of only a few leaves per query, while the brute scan
+touches every point every time.
 """
 
 import time
@@ -49,7 +50,7 @@ def main() -> None:
     for q in queries[:100]:
         _, _, stats = ball.nearest_with_stats(q)
         visited.append(stats.leaves_visited)
-    print(f"ball tree visits {np.mean(visited):.1f} of {ball.leaf_count} "
+    print(f"ball tree scans {np.mean(visited):.1f} of {ball.leaf_count} "
           f"leaves on average")
 
 

@@ -23,7 +23,7 @@ def main() -> None:
     base = fitness(Genome.default(), tr, va)
     print(f"{len(routes)} routes, default-parameter fitness {base:.4f}")
 
-    best, history = evolve(routes, cfg, workers=4)
+    best, history = evolve(routes, cfg)
     for h in history:
         bar = "#" * int(40 * h.best_fitness / (history[-1].best_fitness or 1))
         print(f"gen {h.generation:>2}  best {h.best_fitness:.4f}  "

@@ -14,6 +14,7 @@ from .classifier import (
     Prediction,
     RouteState,
     classify_point,
+    classify_points,
     similarity,
     train,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "angular_diff_deg",
     "brute_nearest",
     "classify_point",
+    "classify_points",
     "earliness",
     "embed",
     "embed_arrays",

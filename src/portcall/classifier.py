@@ -1,16 +1,19 @@
 """Destination-port and arrival-time prediction.
 
 Training builds one ball tree per arrival port over the embeddings of every
-route point that ends there. Classifying a point asks each port's tree for
-its single nearest point, re-ranks those candidates with a similarity
-function (great-circle distance scaled by penalty factors for course,
-heading, speed and distance-from-departure differences; lower is more
-similar), and takes the winner's port and precomputed remaining time. To damp
-flip-flopping between ports along one query route, the emitted port is the
-value of the longest run of identical raw predictions seen so far.
+route point that ends there, and stacks their leaves into one table in port
+order. Classifying a block of consecutive points of one route asks the table
+for every port's exact nearest point to each point in one kernel call,
+re-ranks those candidates with a similarity function (great-circle distance
+scaled by penalty factors for course, heading, speed and
+distance-from-departure differences; lower is more similar), and takes the
+winner's port and precomputed remaining time. To damp flip-flopping between
+ports along one query route, the emitted port is the value of the longest
+run of identical raw predictions seen so far. A streamed point is a block of
+one, so streaming and batch replay share one code path.
 
 Every argmin is totally ordered (similarity, then point id), so sequential
-and parallel runs emit identical predictions.
+and parallel runs, and blocks of any size, emit identical predictions.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import FeatureWeights, embed, embed_arrays
+from .embedding import FeatureWeights, embed_arrays
 from .geo import angular_diff_deg, great_circle_km
-from .index import BallTree, DEFAULT_LEAF_SIZE
+from .index import BallTree, DEFAULT_LEAF_SIZE, LeafTable
 from .routes import Route, RoutePoint
 
 
@@ -61,6 +64,7 @@ class PortIndex:
 class Model:
     params: ModelParams
     per_port: dict[str, PortIndex]
+    table: LeafTable  # every port's leaves, one group per port in port order
 
     @property
     def ports(self) -> list[str]:
@@ -111,9 +115,17 @@ class Prediction:
     chosen_point_id: int
 
 
+def embed_points(points: list[RoutePoint], weights: FeatureWeights) -> np.ndarray:
+    """The (n, 5) embedding of route points."""
+    return embed_arrays(np.array([p.record.lat_deg for p in points]),
+                        np.array([p.record.lon_deg for p in points]),
+                        np.array([p.bearing_deg for p in points]), weights)
+
+
 def train(routes: list[Route], params: ModelParams,
           leaf_size: int = DEFAULT_LEAF_SIZE) -> Model:
-    """Build the per-arrival-port ball trees from enriched labeled routes."""
+    """Build the per-arrival-port ball trees and their stacked leaf table
+    from enriched labeled routes."""
     labeled = [r for r in routes if r.arrival_port is not None]
     if not labeled:
         raise ValueError("training requires at least one labeled route")
@@ -126,27 +138,21 @@ def train(routes: list[Route], params: ModelParams,
     per_port: dict[str, PortIndex] = {}
     for port in sorted(by_port):
         pts = by_port[port]
-        lat = np.array([p.record.lat_deg for p in pts])
-        lon = np.array([p.record.lon_deg for p in pts])
-        bearing = np.array([p.bearing_deg for p in pts])
-        data = embed_arrays(lat, lon, bearing, params.weights)
-        ids = [p.point_id for p in pts]
-        per_port[port] = PortIndex(
-            tree=BallTree(data, ids=ids, leaf_size=leaf_size),
-            points={p.point_id: p for p in pts},
-        )
-    return Model(params=params, per_port=per_port)
+        tree = BallTree(embed_points(pts, params.weights), ids=[p.point_id for p in pts],
+                        leaf_size=leaf_size)
+        per_port[port] = PortIndex(tree=tree, points={p.point_id: p for p in pts})
+    table = LeafTable.stack([ix.tree.table for ix in per_port.values()])
+    for g, ix in enumerate(per_port.values()):
+        ix.tree.table = table.group(g)  # one copy of the leaves, shared
+    return Model(params=params, per_port=per_port, table=table)
 
 
 def candidates_per_port(model: Model, q: RoutePoint) -> list[tuple[str, RoutePoint, float]]:
     """The exact nearest training point of each port, in port order, with
     its 5-D distance."""
-    qv = embed(q.record.lat_deg, q.record.lon_deg, q.bearing_deg, model.params.weights)
-    out = []
-    for port, ix in model.per_port.items():
-        pid, dist = ix.tree.nearest(qv)
-        out.append((port, ix.points[pid], dist))
-    return out
+    ids, dist, _ = model.table.nearest(embed_points([q], model.params.weights))
+    return [(port, ix.points[pid], d) for (port, ix), pid, d
+            in zip(model.per_port.items(), ids[0].tolist(), dist[0].tolist())]
 
 
 def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
@@ -173,30 +179,31 @@ def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
             * (1.0 + params.p_dist * d_dist))
 
 
-def classify_point(model: Model, state: RouteState, q: RoutePoint) -> Prediction:
-    """Predict destination port and arrival time for one streamed point.
+def classify_points(model: Model, state: RouteState,
+                    points: list[RoutePoint]) -> list[Prediction]:
+    """Predict destination port and arrival time for consecutive streamed
+    points of one route, in order, as classify_point would one by one.
 
     The arrival estimate always follows the similarity winner, even when
     smoothing overrides the emitted port.
     """
-    best_sim = float("inf")
-    winner: RoutePoint | None = None
-    winner_port = ""
-    for port, cand, _dist in candidates_per_port(model, q):
-        sim = similarity(q, cand, model.params)
-        if sim < best_sim or (sim == best_sim and winner is not None
-                              and cand.point_id < winner.point_id):
-            best_sim = sim
-            winner = cand
-            winner_port = port
-    assert winner is not None
-    assert winner.remaining_time_s is not None
+    ids = model.table.nearest(embed_points(points, model.params.weights))[0]
+    indexes = list(model.per_port.items())
+    out = []
+    for q, row in zip(points, ids.tolist()):
+        # the least similarity wins, then the smallest point id
+        cands = [(port, ix.points[pid]) for (port, ix), pid in zip(indexes, row)]
+        _, _, winner_port, winner = min((similarity(q, c, model.params), c.point_id, port, c)
+                                        for port, c in cands)
+        assert winner.remaining_time_s is not None
+        smoothed = state.push(winner_port)
+        port = smoothed if model.params.smoothing_enabled else winner_port
+        out.append(Prediction(port, q.record.timestamp + winner.remaining_time_s,
+                              winner_port, winner.point_id))
+    return out
 
-    smoothed = state.push(winner_port)
-    port = smoothed if model.params.smoothing_enabled else winner_port
-    return Prediction(
-        port=port,
-        arrival=q.record.timestamp + winner.remaining_time_s,
-        raw_port=winner_port,
-        chosen_point_id=winner.point_id,
-    )
+
+def classify_point(model: Model, state: RouteState, q: RoutePoint) -> Prediction:
+    """Predict destination port and arrival time for one streamed point: a
+    block of one."""
+    return classify_points(model, state, [q])[0]

@@ -18,11 +18,12 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
-from .classifier import Model, ModelParams, RouteState, classify_point, train
-from .embedding import FeatureWeights, embed, embed_arrays
+from .classifier import Model, ModelParams, RouteState, classify_points, embed_points, train
+from .embedding import FeatureWeights, embed_arrays
 from .evaluation import SyntheticConfig, gen_synthetic, score_dataset, scores_csv
 from .index import DEFAULT_LEAF_SIZE, BallTree, brute_nearest
 from .ingest import AisFormatError, format_timestamp, load_ais_csv
@@ -126,9 +127,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     print("route_key,seq,predicted_port,predicted_arrival,raw_port")
     for route in query_routes:
-        state = RouteState()
-        for seq, point in enumerate(route.points):
-            pred = classify_point(model, state, point)
+        preds = classify_points(model, RouteState(), route.points)
+        for seq, pred in enumerate(preds):
             arrival = format_timestamp(pred.arrival)
             print(f"{route.route_id},{seq},{pred.port},{arrival},{pred.raw_port}")
     return 0
@@ -155,16 +155,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _bench_points(routes: list[Route]) -> tuple[np.ndarray, np.ndarray]:
-    w = FeatureWeights()
-    lats, lons, bearings, ids = [], [], [], []
-    for route in routes:
-        for p in route.points:
-            lats.append(p.record.lat_deg)
-            lons.append(p.record.lon_deg)
-            bearings.append(p.bearing_deg)
-            ids.append(p.point_id)
-    pts = embed_arrays(np.array(lats), np.array(lons), np.array(bearings), w)
-    return pts, np.array(ids, dtype=np.int64)
+    pts = [p for route in routes for p in route.points]
+    return embed_points(pts, FeatureWeights()), np.array([p.point_id for p in pts], dtype=np.int64)
 
 
 def _bench_queries(n: int, seed: int) -> np.ndarray:
@@ -172,8 +164,7 @@ def _bench_queries(n: int, seed: int) -> np.ndarray:
     lats = rng.uniform(-60.0, 60.0, size=n)
     lons = rng.uniform(-180.0, 180.0, size=n)
     bearings = rng.uniform(0.0, 360.0, size=n)
-    w = FeatureWeights()
-    return np.array([embed(lats[i], lons[i], bearings[i], w) for i in range(n)])
+    return embed_arrays(lats, lons, bearings, FeatureWeights())
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -182,35 +173,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
     pts, ids = _bench_points(routes)
     queries = _bench_queries(args.queries, args.seed)
 
-    built = {}
-    build_s = {}
+    built, build_s = {}, {}
     for name in dict.fromkeys(structures):
         t0 = time.perf_counter()
         if name == "balltree":
-            built[name] = BallTree(pts, ids=ids, leaf_size=args.leaf_size)
+            built[name] = BallTree(pts, ids=ids, leaf_size=args.leaf_size).nearest
         else:
-            built[name] = (pts.copy(), ids.copy())
+            built[name] = partial(brute_nearest, pts.copy(), ids=ids.copy())
         build_s[name] = time.perf_counter() - t0
-
-    def run(name: str, q: np.ndarray) -> tuple[int, float]:
-        if name == "brute":
-            bp, bi = built[name]
-            return brute_nearest(bp, q, bi)
-        return built[name].nearest(q)
 
     # correctness gate: every structure must agree before any timing prints
     for q in queries:
-        answers = [run(name, q) for name in built]
+        answers = [nearest(q) for nearest in built.values()]
         ref_id, ref_d = answers[0]
         for got_id, got_d in answers[1:]:
             if got_id != ref_id or abs(got_d - ref_d) > 1e-9:
                 raise CliError("correctness gate failed: structures disagree")
     print(f"correctness=ok structures={len(built)} queries={len(queries)} points={len(pts)}")
 
-    for name in built:
+    for name, nearest in built.items():
         t0 = time.perf_counter()
         for q in queries:
-            run(name, q)
+            nearest(q)
         mean_s = (time.perf_counter() - t0) / len(queries)
         print(f"structure={name} build_seconds={build_s[name]:.6f} "
               f"mean_query_seconds={mean_s:.9f}")

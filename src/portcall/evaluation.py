@@ -1,8 +1,8 @@
 """Stream replay, scoring, and synthetic dataset generation.
 
-Labeled routes are replayed point by point against a trained model, exactly
-as a live stream would arrive: each prediction sees only the current point
-and earlier history. Query 1 is scored by earliness (the fraction of a
+Labeled routes are replayed against a trained model exactly as a live stream
+would arrive: each prediction sees only the current point and earlier
+history. Query 1 is scored by earliness (the fraction of a
 route's predictions forming the correct suffix: the earlier the prediction
 locks onto the true port, the higher), Query 2 by the mean absolute
 arrival-time error in minutes over all of the route's predictions.
@@ -20,7 +20,7 @@ from math import acos, asin, atan2, cos, degrees, radians, sin
 
 import numpy as np
 
-from .classifier import Model, Prediction, RouteState, classify_point
+from .classifier import Model, Prediction, RouteState, classify_points
 from .geo import great_circle_km, initial_bearing_deg, normalize_lon
 from .ingest import AisRecord, records_to_csv
 from .routes import Route
@@ -36,9 +36,9 @@ class Scores:
 
 
 def replay_route(model: Model, route: Route) -> list[Prediction]:
-    """One prediction per point, in timestamp order, with no lookahead."""
-    state = RouteState()
-    return [classify_point(model, state, pt) for pt in route.points]
+    """One prediction per point, in timestamp order, with no lookahead: the
+    whole route is one block of streamed points."""
+    return classify_points(model, RouteState(), route.points)
 
 
 def earliness(predictions: list[Prediction], true_port: str) -> float:

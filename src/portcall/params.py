@@ -101,22 +101,11 @@ def load_params(path: str) -> ParamsFile:
 
 
 def format_params(pf: ParamsFile) -> str:
-    w, p = pf.params.weights, pf.params
-    pairs = [
-        ("magnitude.x", repr(w.m_x)),
-        ("magnitude.y", repr(w.m_y)),
-        ("magnitude.z", repr(w.m_z)),
-        ("magnitude.bearing_sin", repr(w.m_sin)),
-        ("magnitude.bearing_cos", repr(w.m_cos)),
-        ("penalty.course", repr(p.p_course)),
-        ("penalty.heading", repr(p.p_heading)),
-        ("penalty.speed", repr(p.p_speed)),
-        ("penalty.dist_from_departure", repr(p.p_dist)),
-        ("norm.speed_knots", repr(p.norm_speed_knots)),
-        ("norm.dist_km", repr(p.norm_dist_km)),
-        ("leaf_size", str(pf.leaf_size)),
-        ("smoothing.enabled", "true" if p.smoothing_enabled else "false"),
-    ]
+    p = pf.params
+    pairs = [(key, repr(getattr(p.weights if group else p, name)))
+             for key, (group, name) in _FLOAT_KEYS.items()]
+    pairs += [("leaf_size", str(pf.leaf_size)),
+              ("smoothing.enabled", "true" if p.smoothing_enabled else "false")]
     return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
 
 

@@ -1,8 +1,13 @@
 """End-to-end command-line behavior via main()."""
 
+import contextlib
+import io
+
+import numpy as np
 import pytest
 
 from portcall.cli import main
+from portcall.evaluation import SyntheticConfig, gen_synthetic
 from portcall.ingest import AIS_HEADER, format_timestamp, parse_ais_csv, records_to_csv
 from portcall.params import load_params
 from tests.test_evaluation import FLIP_FLOP_LANES, flip_flop_query, make_record
@@ -115,6 +120,84 @@ def test_evaluate_no_smoothing_hurts_on_flip_flop(tmp_path, tiny_train, capsys):
                  "--threads", "1", "--no-smoothing"]) == 0
     raw = capsys.readouterr().out
     assert "earliness=0.6" in raw
+
+
+# (column, value, reason): every non-finite or out-of-range value that a
+# numeric column of an otherwise valid row can carry
+CORRUPTIONS = [
+    (2, "nan", "speed is not finite"),
+    (2, "inf", "speed is not finite"),
+    (2, "-3.5", "negative speed"),
+    (3, "nan", "longitude is not finite"),
+    (3, "-inf", "longitude is not finite"),
+    (4, "inf", "latitude is not finite"),
+    (4, "91.5", "latitude out of range"),
+    (4, "-90.01", "latitude out of range"),
+    (5, "nan", "course is not finite"),
+    (5, "360.0", "course out of range"),
+    (6, "-inf", "heading is not finite"),
+    (6, "400", "heading out of range"),
+    (9, "nan", "draught is not finite"),
+    (9, "-1", "draught must be >= 0.0"),
+]
+
+
+@pytest.fixture(scope="module")
+def canonical_evaluate(tmp_path_factory):
+    """The canonical CSV and the stdout of evaluating it on itself."""
+    clean = tmp_path_factory.mktemp("canonical") / "clean.csv"
+    clean.write_text(gen_synthetic(SyntheticConfig()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["evaluate", "--train", str(clean), "--test", str(clean),
+                     "--threads", "2"]) == 0
+    return clean.read_text(), out.getvalue()
+
+
+def shuffle_within_routes(rows, rng):
+    """Shuffle each run of consecutive rows of one route (ship, departure,
+    arrival time); the partitioner's timestamp sort undoes it."""
+    out, group, key = [], [], None
+    for row in rows:
+        fields = row.split(",")
+        k = (fields[0], fields[8], fields[10])
+        if k != key and group:
+            out.extend(group[i] for i in rng.permutation(len(group)))
+            group = []
+        key = k
+        group.append(row)
+    out.extend(group[i] for i in rng.permutation(len(group)))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_corruption_sweep_reports_each_row_and_keeps_output(tmp_path, capsys,
+                                                           canonical_evaluate, seed):
+    rng = np.random.default_rng(seed)
+    canonical_csv, expected_out = canonical_evaluate
+    header, *rows = canonical_csv.splitlines()
+
+    # bad copies of random valid rows, every corruption at least once
+    tagged = [(row, None) for row in shuffle_within_routes(rows, rng)]
+    picks = list(range(len(CORRUPTIONS))) + list(rng.integers(0, len(CORRUPTIONS), size=10))
+    for c in picks:
+        column, value, reason = CORRUPTIONS[c]
+        fields = rows[int(rng.integers(0, len(rows)))].split(",")
+        fields[column] = value
+        tagged.insert(int(rng.integers(0, len(tagged) + 1)), (",".join(fields), reason))
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("\n".join([header] + [row for row, _ in tagged]) + "\n")
+    # line 1 is the header
+    reported = {f"warning: {dirty}:{n}: {reason}"
+                for n, (_, reason) in enumerate(tagged, start=2) if reason}
+
+    assert main(["evaluate", "--train", str(dirty), "--test", str(dirty),
+                 "--threads", "2"]) == 0
+    got = capsys.readouterr()
+    warnings = got.err.splitlines()
+    assert len(warnings) == 2 * len(picks)  # train and test each report every row
+    assert set(warnings) == reported
+    assert got.out == expected_out
 
 
 def test_predict_rows_in_input_order(tmp_path, tiny_train, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from portcall.index import BallTree, brute_nearest
+from portcall.index import BallTree, LeafTable, brute_nearest
 
 
 def random_instance(rng, n):
@@ -85,20 +85,56 @@ def test_agreement_with_brute_and_reference():
             assert b_d == pytest.approx(r_d, abs=1e-9)
 
 
+def lattice_points(rng, n):
+    return rng.integers(-1, 2, size=(n, 5)).astype(float), rng.permutation(10 * n)[:n]
+
+
 def test_ties_and_duplicates_match_brute_sweep():
     """Lattice points make exact distance ties and duplicate points common;
-    the tree must pick the same smallest id at the same distance as the
-    linear scan, for every leaf size."""
+    the tree, and a table stacking several trees, must pick the same smallest
+    id at the same distance as the linear scan, for every leaf size. The
+    stacked ports differ widely in size, so short groups and short leaves are
+    padded, and one port is a single leaf of one point."""
     rng = np.random.default_rng(39)
     for _ in range(40):
         n = int(rng.integers(1, 300))
-        pts = rng.integers(-1, 2, size=(n, 5)).astype(float)
-        ids = rng.permutation(10 * n)[:n]
+        pts, ids = lattice_points(rng, n)
         queries = rng.integers(-2, 3, size=(20, 5)) / 2.0
         for leaf_size in (1, 4, 32):
             tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
             for q in queries:
                 assert tree.nearest(q) == brute_nearest(pts, q, ids)
+        ports = [(pts, ids), lattice_points(rng, 1), lattice_points(rng, int(rng.integers(2, 8))),
+                 lattice_points(rng, int(rng.integers(300, 600)))]
+        for leaf_size in (1, 4, 32):
+            table = LeafTable.stack([BallTree(p, ids=i, leaf_size=leaf_size).table
+                                     for p, i in ports])
+            got_ids, got_d, scanned = table.nearest(queries)
+            for g, (p, i) in enumerate(ports):
+                assert (scanned[:, g] >= 1).all()
+                for k, q in enumerate(queries):
+                    assert (int(got_ids[k, g]), float(got_d[k, g])) == brute_nearest(p, q, i)
+
+
+def test_leaf_table_rejects_block_with_one_non_finite_query():
+    trees = [BallTree(np.eye(5)), BallTree(-np.eye(5), leaf_size=2)]
+    table = LeafTable.stack([t.table for t in trees])
+    for bad in (np.nan, np.inf, -np.inf):
+        queries = np.zeros((7, 5))
+        queries[4, 2] = bad
+        with pytest.raises(ValueError):
+            table.nearest(queries)
+
+
+def test_nearest_with_stats_counts_bounds_and_scans():
+    rng = np.random.default_rng(41)
+    tree = BallTree(random_instance(rng, 700), leaf_size=8)
+    for _ in range(20):
+        q = rng.uniform(-2, 2, size=5)
+        pid, dist, stats = tree.nearest_with_stats(q)
+        assert (pid, dist) == tree.nearest(q)
+        assert stats.nodes_visited == tree.leaf_count
+        assert 1 <= stats.leaves_visited <= tree.leaf_count
 
 
 def test_leaf_size_variations_agree():
