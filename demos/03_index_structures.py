@@ -1,9 +1,9 @@
 """Comparing the ball tree with the brute scan on one dataset.
 
 Both answer identically (that is checked first); the only question is
-speed. The ball tree bounds each of its leaves by centroid and radius and
-scans the points of only a few leaves per query, while the brute scan
-touches every point every time.
+speed. The ball tree is only its leaves: it bounds each leaf by centroid
+and radius and scans the points of only a few leaves per query, while the
+brute scan touches every point every time.
 """
 
 import time
@@ -28,7 +28,7 @@ def main() -> None:
         0.0, 0.01, size=(300, 5))
 
     ball = BallTree(pts, leaf_size=32)
-    print(f"ball tree: {ball.node_count} nodes, {ball.leaf_count} leaves, "
+    print(f"ball tree: {ball.leaf_count} leaves of at most {ball.leaf_size} points, "
           f"containment slack {ball.containment_slack():.2e}")
 
     # agreement gate before any timing

@@ -11,11 +11,8 @@ identity only depends on the magnitude ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, radians, sin
 
 import numpy as np
-
-N_DIMS = 5
 
 
 @dataclass(frozen=True)
@@ -33,32 +30,19 @@ class FeatureWeights:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"magnitude {name}={value} outside [0, 1]")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m_x, self.m_y, self.m_z, self.m_sin, self.m_cos])
-
-
 def embed(lat_deg: float, lon_deg: float, bearing_deg: float,
           w: FeatureWeights) -> np.ndarray:
-    """Embed one point into the magnitude-weighted 5-D feature space."""
-    phi = radians(lat_deg)
-    lam = radians(lon_deg)
-    beta = radians(bearing_deg)
-    return np.array([
-        w.m_x * cos(phi) * cos(lam),
-        w.m_y * cos(phi) * sin(lam),
-        w.m_z * sin(phi),
-        w.m_sin * sin(beta),
-        w.m_cos * cos(beta),
-    ])
+    """Embed one point: a block of one of embed_arrays."""
+    return embed_arrays(np.array([lat_deg]), np.array([lon_deg]), np.array([bearing_deg]), w)[0]
 
 
 def embed_arrays(lat_deg: np.ndarray, lon_deg: np.ndarray, bearing_deg: np.ndarray,
                  w: FeatureWeights) -> np.ndarray:
-    """Vectorized embed: (n,) coordinate arrays -> (n, 5) feature matrix."""
+    """Embed n points: (n,) coordinate arrays -> (n, 5) feature matrix."""
     phi = np.radians(lat_deg)
     lam = np.radians(lon_deg)
     beta = np.radians(bearing_deg)
-    out = np.empty((len(phi), N_DIMS))
+    out = np.empty((len(phi), 5))
     cos_phi = np.cos(phi)
     out[:, 0] = w.m_x * cos_phi * np.cos(lam)
     out[:, 1] = w.m_y * cos_phi * np.sin(lam)
@@ -66,4 +50,3 @@ def embed_arrays(lat_deg: np.ndarray, lon_deg: np.ndarray, bearing_deg: np.ndarr
     out[:, 3] = w.m_sin * np.sin(beta)
     out[:, 4] = w.m_cos * np.cos(beta)
     return out
-

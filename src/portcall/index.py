@@ -5,12 +5,13 @@ test oracle and the brute benchmark arm) both return the exact nearest point
 under the Euclidean metric, ties going to the smallest point id. Every
 distance comes from one function, so the two agree bit for bit.
 
-The tree splits the dimension of maximum spread at the median until a node
-holds at most ``leaf_size`` points. Queries never walk it: one numpy kernel
-answers a block of queries against the padded leaf table of one or many
-trees. Per (query, tree) it bounds every leaf by centroid and radius, scans
-the leaves with the smallest bounds for an upper bound, then scans every
-leaf whose bound is ``<=`` it, so equal-distance candidates are reached.
+The tree is only its leaves: median splits on the dimension of maximum
+spread until each part holds at most ``leaf_size`` points, kept as a padded
+leaf table with each leaf's centroid and radius. One numpy kernel answers a
+block of queries against the leaf table of one or many trees: per (query,
+tree) it bounds every leaf, scans the leaves with the smallest bounds for an
+upper bound, then every leaf whose bound is ``<=`` it, so equal-distance
+candidates are reached.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ class LeafTable:
 
         Returns (ids, distances, leaves scanned), each of shape (n, groups).
         """
-        q = np.asarray(queries, dtype=np.float64).reshape(-1, self.points.shape[2])
+        q = np.asarray(queries, dtype=np.float64)
+        if q.ndim != 2 or q.shape[1] != self.points.shape[2]:
+            raise ValueError("queries must be an (n, 5) array")
         if not np.isfinite(q).all():
             raise ValueError("queries must be finite")
         shape = (len(q), len(self.counts))
@@ -161,11 +164,11 @@ class LeafTable:
 
 
 class BallTree:
-    """Exact nearest-neighbor ball tree over a fixed point set.
-
-    Immutable after construction; concurrent queries are safe. Leaves hold at
-    most ``leaf_size`` points and every point sits inside its node's ball.
-    The leaves are stored only in ``table``, which the query kernel reads.
+    """Exact nearest-neighbor ball tree over a fixed point set, kept as its
+    leaves: ``table`` holds their points, ids, centroid and radius, which is
+    all the query kernel reads. Leaves hold at most ``leaf_size`` points and
+    every point lies inside its leaf's ball. Immutable; concurrent queries
+    are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: Sequence[int] | None = None,
@@ -176,52 +179,42 @@ class BallTree:
         if pts.shape[1] != 5:
             raise ValueError("BallTree indexes 5-D feature vectors")
         self.leaf_size = leaf_size
+        self.n_points = len(pts)
         pts, id_arr = pts.copy(), id_arr.copy()
-        nodes: list[tuple[int, int, np.ndarray, float]] = []
-        self._leaves: list[int] = []
-        self._build(pts, id_arr, 0, len(pts), nodes)
-        start, end, centroid, radius = zip(*nodes)
-        self._start, self._end = np.array(start), np.array(end)
-        self._centroid, self._radius = np.array(centroid), np.array(radius)
+        leaves: list[tuple[int, np.ndarray, float]] = []
+        self._split(pts, id_arr, 0, len(pts), leaves)
 
-        # leaves are built left to right, so their ranges tile the points
-        start, end = self._start[self._leaves], self._end[self._leaves]
+        # leaves are split off left to right, so their ranges tile the points
+        end, centroid, radius = map(np.array, zip(*leaves))
+        start = np.r_[0, end[:-1]]
         rows = start[:, None] + np.arange((end - start).max())
         real = rows < end[:, None]
         rows = np.where(real, rows, 0)
         self.table = LeafTable(np.where(real[:, :, None], pts[rows], np.inf),
                                np.where(real, id_arr[rows], _NO_ID),
-                               self._centroid[self._leaves], self._radius[self._leaves],
-                               [len(self._leaves)])
+                               centroid, radius, [len(end)])
 
-    def _build(self, pts: np.ndarray, ids: np.ndarray, start: int, end: int,
-               nodes: list[tuple[int, int, np.ndarray, float]]) -> None:
+    def _split(self, pts: np.ndarray, ids: np.ndarray, start: int, end: int,
+               leaves: list[tuple[int, np.ndarray, float]]) -> None:
+        """Reorder rows start:end in place into leaves, splitting at the
+        median of the dimension of maximum spread; append each leaf's end
+        row, centroid and radius, left to right."""
         seg = pts[start:end]
-        centroid = seg.mean(axis=0)
-        nodes.append((start, end, centroid, float(_distances(seg, centroid).max())))
-        if end - start > self.leaf_size:
-            spread = seg.max(axis=0) - seg.min(axis=0)
-            dim = int(np.argmax(spread))
-            mid = start + (end - start) // 2
-            order = np.argpartition(seg[:, dim], mid - start)
-            pts[start:end] = seg[order]
-            ids[start:end] = ids[start:end][order]
-            self._build(pts, ids, start, mid, nodes)
-            self._build(pts, ids, mid, end, nodes)
-        else:
-            self._leaves.append(len(nodes) - 1)
-
-    @property
-    def n_points(self) -> int:
-        return int(self._end[0])
-
-    @property
-    def node_count(self) -> int:
-        return len(self._radius)
+        if end - start <= self.leaf_size:
+            centroid = seg.mean(axis=0)
+            leaves.append((end, centroid, float(_distances(seg, centroid).max())))
+            return
+        dim = int(np.argmax(seg.max(axis=0) - seg.min(axis=0)))
+        mid = start + (end - start) // 2
+        order = np.argpartition(seg[:, dim], mid - start)
+        pts[start:end] = seg[order]
+        ids[start:end] = ids[start:end][order]
+        self._split(pts, ids, start, mid, leaves)
+        self._split(pts, ids, mid, end, leaves)
 
     @property
     def leaf_count(self) -> int:
-        return len(self._leaves)
+        return len(self.table.radius)
 
     def nearest(self, q: np.ndarray) -> tuple[int, float]:
         """Exact nearest point to q: (point_id, distance)."""
@@ -231,18 +224,16 @@ class BallTree:
     def nearest_with_stats(self, q: np.ndarray) -> tuple[int, float, QueryStats]:
         """As nearest(); the stats count the leaf bounds computed (every
         leaf) and the leaves scanned within the upper bound."""
-        ids, dist, scanned = self.table.nearest(q)
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != (5,):
+            raise ValueError("query must be one 5-D feature vector")
+        ids, dist, scanned = self.table.nearest(q[None])
         return (int(ids[0, 0]), float(dist[0, 0]),
                 QueryStats(nodes_visited=self.leaf_count, leaves_visited=int(scanned[0, 0])))
 
     def containment_slack(self) -> float:
-        """Max over nodes of (point distance to centroid - radius); <= 0 when
-        every point lies inside its node's ball."""
-        worst = -np.inf
-        leaf_start = self._start[self._leaves]
-        for node in range(self.node_count):
-            lo, hi = np.searchsorted(leaf_start, [self._start[node], self._end[node]])
-            seg = self.table.points[lo:hi].reshape(-1, 5)
-            d = _distances(seg[np.isfinite(seg[:, 0])], self._centroid[node])
-            worst = max(worst, float(d.max() - self._radius[node]))
-        return worst
+        """Max over points of (distance to its leaf's centroid - that leaf's
+        radius); <= 0 when every point lies inside its leaf's ball."""
+        t = self.table
+        slack = _distances(t.points, t.centroid[:, None, :]) - t.radius[:, None]
+        return float(slack[np.isfinite(t.points[:, :, 0])].max())

@@ -36,13 +36,17 @@ def test_default_magnitudes():
 
 
 def test_embed_matches_direct_formula():
+    """Both entry points, one point and a block, against the formula written
+    out with scalar math."""
     rng = np.random.default_rng(21)
     w = FeatureWeights(0.9, 0.8, 0.7, 0.6, 0.5)
-    for _ in range(200):
-        lat = rng.uniform(-90, 90)
-        lon = rng.uniform(-180, 180)
-        bearing = rng.uniform(0, 360)
-        phi, lam, beta = map(math.radians, (lat, lon, bearing))
+    lats = rng.uniform(-90, 90, size=200)
+    lons = rng.uniform(-180, 180, size=200)
+    bearings = rng.uniform(0, 360, size=200)
+    block = embed_arrays(lats, lons, bearings, w)
+    assert block.shape == (200, 5)
+    for i in range(200):
+        phi, lam, beta = map(math.radians, (lats[i], lons[i], bearings[i]))
         want = [
             0.9 * math.cos(phi) * math.cos(lam),
             0.8 * math.cos(phi) * math.sin(lam),
@@ -50,19 +54,8 @@ def test_embed_matches_direct_formula():
             0.6 * math.sin(beta),
             0.5 * math.cos(beta),
         ]
-        assert np.allclose(embed(lat, lon, bearing, w), want, atol=1e-12)
-
-
-def test_embed_arrays_matches_scalar():
-    rng = np.random.default_rng(22)
-    w = FeatureWeights()
-    lats = rng.uniform(-90, 90, size=100)
-    lons = rng.uniform(-180, 180, size=100)
-    bearings = rng.uniform(0, 360, size=100)
-    block = embed_arrays(lats, lons, bearings, w)
-    for i in range(100):
-        assert np.allclose(block[i], embed(lats[i], lons[i], bearings[i], w),
-                           atol=1e-12)
+        assert np.allclose(embed(lats[i], lons[i], bearings[i], w), want, atol=1e-12)
+        assert np.allclose(block[i], want, atol=1e-12)
 
 
 def test_argmin_invariant_under_uniform_scaling():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from portcall.classifier import ModelParams, embed_points, train
 from portcall.index import BallTree, LeafTable, brute_nearest
 
 
@@ -41,7 +42,6 @@ def test_small_instance_is_single_leaf():
     pts = rng.normal(size=(20, 5))
     tree = BallTree(pts, leaf_size=32)
     assert tree.leaf_count == 1
-    assert tree.node_count == 1
 
 
 def test_query_equal_to_point():
@@ -158,6 +158,57 @@ def test_ball_containment_invariant():
         assert tree.containment_slack() <= 0.0
 
 
+def table_rows(table, g=0):
+    """Group g's leaves as (ids, points) of its real rows, leaf by leaf."""
+    lo, hi = table.offsets[g], table.offsets[g] + table.counts[g]
+    real = np.isfinite(table.points[lo:hi, :, 0])
+    return [(table.ids[k][real[k - lo]], table.points[k][real[k - lo]]) for k in range(lo, hi)]
+
+
+def test_leaves_tile_the_points_sweep():
+    """The leaves are the whole tree: for every size and leaf size each id
+    sits in exactly one leaf, with its own point, inside that leaf's ball."""
+    rng = np.random.default_rng(42)
+    sizes = [1, 2, 3, 33, 2000] + sorted(rng.integers(4, 2000, size=6).tolist())
+    for n in sizes:
+        pts = random_instance(rng, n)
+        ids = rng.permutation(5 * n)[:n]
+        for leaf_size in (1, 2, 7, 32, n):
+            tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
+            rows = table_rows(tree.table)
+            assert tree.n_points == n
+            assert tree.leaf_count == len(rows) == len(tree.table.radius)
+            assert all(1 <= len(leaf_ids) <= leaf_size for leaf_ids, _ in rows)
+            got_ids = np.concatenate([leaf_ids for leaf_ids, _ in rows])
+            assert sorted(got_ids.tolist()) == sorted(ids.tolist())
+            row_of = {pid: k for k, pid in enumerate(ids.tolist())}
+            got_pts = np.concatenate([leaf_pts for _, leaf_pts in rows])
+            assert np.array_equal(got_pts, pts[[row_of[pid] for pid in got_ids.tolist()]])
+            assert tree.containment_slack() <= 0.0
+
+
+def test_model_table_groups_are_the_port_trees(canonical_routes):
+    """Training stacks every port's leaves into one table; each port's tree
+    reads its group of that table, and the group holds the leaves a tree
+    built on the port's points alone holds."""
+    model = train(canonical_routes, ModelParams(), leaf_size=8)
+    assert len(model.per_port) > 1
+    for g, ix in enumerate(model.per_port.values()):
+        group, tree_table = model.table.group(g), ix.tree.table
+        assert np.shares_memory(tree_table.points, model.table.points)
+        for name in ("points", "ids", "centroid", "radius"):
+            assert np.array_equal(getattr(tree_table, name), getattr(group, name))
+        pts = list(ix.points.values())
+        alone = BallTree(embed_points(pts, model.params.weights),
+                         ids=[p.point_id for p in pts], leaf_size=8).table
+        assert np.array_equal(group.centroid, alone.centroid)
+        assert np.array_equal(group.radius, alone.radius)
+        for (ids_a, pts_a), (ids_b, pts_b) in zip(table_rows(group), table_rows(alone),
+                                                  strict=True):
+            assert np.array_equal(ids_a, ids_b)
+            assert np.array_equal(pts_a, pts_b)
+
+
 def test_pruning_visits_fewer_leaves_than_total():
     rng = np.random.default_rng(36)
     pts = random_instance(rng, 2000)
@@ -206,6 +257,19 @@ def test_input_validation():
             tree.nearest_with_stats(q)
         with pytest.raises(ValueError):
             brute_nearest(np.eye(5), q)
+    # a query is one 5-vector for a tree and an (n, 5) block for a table,
+    # never any array whose size happens to be a multiple of 5
+    e1, e3 = np.eye(5)[1], np.eye(5)[3]
+    for bad in (np.r_[e3, e1], np.zeros((2, 2, 5)), np.zeros((1, 5)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            tree.nearest(bad)
+        with pytest.raises(ValueError):
+            tree.nearest_with_stats(bad)
+    with pytest.raises(ValueError):
+        brute_nearest(np.eye(5), np.r_[e3, e1])
+    for bad in (np.r_[e3, e1], np.zeros((2, 2, 5)), np.zeros((2, 4))):
+        with pytest.raises(ValueError):
+            tree.table.nearest(bad)
 
 
 def test_build_does_not_mutate_input():

@@ -1,0 +1,39 @@
+"""The benchmark in ``perfbench/`` reads portcall by name: its workloads call
+the public set-up path, and its tracer wraps functions and methods of every
+layer. Running a small workload's set-up and gate, and installing the tracer,
+in process makes a renamed or removed name fail here rather than only when
+the benchmark runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import portcall as pc
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tune_small_setup_gate_and_tracer(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    workloads, spans = load("workloads"), load("spans")
+    wl = workloads.WORKLOADS["tune-small"](0)
+    st = wl.setup()
+    assert st.rejected == 0
+    assert wl.gate(st)
+
+    tracer = spans.Tracer()
+    tracer.recording = True
+    with spans.Patches() as patches:
+        tracer.install(patches, pc)
+        pc.classifier.train(st.train, pc.ModelParams())
+    assert len(tracer.trees) == len(st.model.per_port)
+    names = {s.name for s in tracer.spans}
+    assert {"classifier.train", "embedding.embed_arrays", "index.BallTree.__init__"} <= names
