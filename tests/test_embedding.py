@@ -58,6 +58,22 @@ def test_embed_matches_direct_formula():
         assert np.allclose(block[i], want, atol=1e-12)
 
 
+def test_embed_arrays_matches_scalar():
+    """Each row of a block depends on its own point only: embedding the
+    points one at a time gives the same rows, and an empty block is (0, 5)."""
+    rng = np.random.default_rng(22)
+    w = FeatureWeights()
+    lats = rng.uniform(-90, 90, size=100)
+    lons = rng.uniform(-180, 180, size=100)
+    bearings = rng.uniform(0, 360, size=100)
+    block = embed_arrays(lats, lons, bearings, w)
+    for i in range(100):
+        assert np.allclose(block[i], embed(lats[i], lons[i], bearings[i], w),
+                           atol=1e-12)
+    empty = np.empty(0)
+    assert embed_arrays(empty, empty, empty, w).shape == (0, 5)
+
+
 def test_argmin_invariant_under_uniform_scaling():
     """Scaling all five magnitudes by one constant rescales every distance
     by that constant, so nearest-neighbor identity is unchanged. Powers of
