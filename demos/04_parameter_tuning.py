@@ -7,7 +7,7 @@ candidate. The GA searches that 9-D box against a held-out route split.
 """
 
 from portcall import SyntheticConfig, enrich_route, partition_routes, synth_records
-from portcall.params import ParamsFile, format_params
+from portcall.params import format_params
 from portcall.tuner import GaConfig, Genome, evolve, fitness, split_routes
 
 
@@ -31,7 +31,7 @@ def main() -> None:
 
     print(f"\nimprovement over defaults: {history[-1].best_fitness - base:+.4f}")
     print("\nbest genome as a parameter file:")
-    print(format_params(ParamsFile(params=best.to_params())))
+    print(format_params(best.to_params()))
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .evaluation import (
 from .geo import angular_diff_deg, great_circle_km, initial_bearing_deg
 from .index import BallTree, brute_nearest
 from .ingest import AisFormatError, AisRecord, load_ais_csv, parse_ais_csv
-from .params import ParamsFile, load_params, parse_params, save_params
+from .params import load_params, parse_params, save_params
 from .routes import Route, RoutePoint, enrich_route, partition_routes
 from .tuner import GaConfig, Genome, evolve, fitness, split_routes
 
@@ -47,7 +47,6 @@ __all__ = [
     "Genome",
     "Model",
     "ModelParams",
-    "ParamsFile",
     "Prediction",
     "Route",
     "RoutePoint",

@@ -35,6 +35,7 @@ class ModelParams:
     Penalties scale how strongly an attribute difference inflates the
     great-circle distance between a query point and a candidate; the
     normalizers say what difference counts as "large" (capped at 1).
+    ``leaf_size`` bounds the points per leaf of each port's ball tree.
     """
 
     weights: FeatureWeights = field(default_factory=FeatureWeights)
@@ -45,6 +46,7 @@ class ModelParams:
     norm_speed_knots: float = 50.0
     norm_dist_km: float = 100.0
     smoothing_enabled: bool = True
+    leaf_size: int = DEFAULT_LEAF_SIZE
 
     def __post_init__(self) -> None:
         for name in ("p_course", "p_heading", "p_speed", "p_dist"):
@@ -122,8 +124,7 @@ def embed_points(points: list[RoutePoint], weights: FeatureWeights) -> np.ndarra
                         np.array([p.bearing_deg for p in points]), weights)
 
 
-def train(routes: list[Route], params: ModelParams,
-          leaf_size: int = DEFAULT_LEAF_SIZE) -> Model:
+def train(routes: list[Route], params: ModelParams) -> Model:
     """Build the per-arrival-port ball trees and their stacked leaf table
     from enriched labeled routes."""
     labeled = [r for r in routes if r.arrival_port is not None]
@@ -133,26 +134,21 @@ def train(routes: list[Route], params: ModelParams,
     by_port: dict[str, list[RoutePoint]] = {}
     for route in labeled:
         assert route.arrival_port is not None
+        if any(p.remaining_time_s is None for p in route.points):
+            raise ValueError(f"route {route.route_id} is not enriched: "
+                             "its points lack remaining_time_s")
         by_port.setdefault(route.arrival_port, []).extend(route.points)
 
     per_port: dict[str, PortIndex] = {}
     for port in sorted(by_port):
         pts = by_port[port]
         tree = BallTree(embed_points(pts, params.weights), ids=[p.point_id for p in pts],
-                        leaf_size=leaf_size)
+                        leaf_size=params.leaf_size)
         per_port[port] = PortIndex(tree=tree, points={p.point_id: p for p in pts})
     table = LeafTable.stack([ix.tree.table for ix in per_port.values()])
     for g, ix in enumerate(per_port.values()):
         ix.tree.table = table.group(g)  # one copy of the leaves, shared
     return Model(params=params, per_port=per_port, table=table)
-
-
-def candidates_per_port(model: Model, q: RoutePoint) -> list[tuple[str, RoutePoint, float]]:
-    """The exact nearest training point of each port, in port order, with
-    its 5-D distance."""
-    ids, dist, _ = model.table.nearest(embed_points([q], model.params.weights))
-    return [(port, ix.points[pid], d) for (port, ix), pid, d
-            in zip(model.per_port.items(), ids[0].tolist(), dist[0].tolist())]
 
 
 def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
@@ -195,7 +191,6 @@ def classify_points(model: Model, state: RouteState,
         cands = [(port, ix.points[pid]) for (port, ix), pid in zip(indexes, row)]
         _, _, winner_port, winner = min((similarity(q, c, model.params), c.point_id, port, c)
                                         for port, c in cands)
-        assert winner.remaining_time_s is not None
         smoothed = state.push(winner_port)
         port = smoothed if model.params.smoothing_enabled else winner_port
         out.append(Prediction(port, q.record.timestamp + winner.remaining_time_s,

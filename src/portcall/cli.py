@@ -27,7 +27,7 @@ from .embedding import FeatureWeights, embed_arrays
 from .evaluation import SyntheticConfig, gen_synthetic, score_dataset, scores_csv
 from .index import DEFAULT_LEAF_SIZE, BallTree, brute_nearest
 from .ingest import AisFormatError, format_timestamp, load_ais_csv
-from .params import ParamsFile, load_params, save_params
+from .params import load_params, save_params
 from .routes import Route, enrich_route, partition_routes
 from .tuner import GaConfig, evolve, history_csv
 from . import __version__
@@ -63,9 +63,9 @@ def _load_routes(path: str, labeled: bool) -> list[Route]:
     return routes
 
 
-def _load_params_file(path: str | None) -> ParamsFile:
+def _load_params_file(path: str | None) -> ModelParams:
     if path is None:
-        return ParamsFile(params=ModelParams())
+        return ModelParams()
     try:
         return load_params(path)
     except OSError as exc:
@@ -74,9 +74,9 @@ def _load_params_file(path: str | None) -> ParamsFile:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _train_model(routes: list[Route], pf: ParamsFile) -> Model:
+def _train_model(routes: list[Route], params: ModelParams) -> Model:
     try:
-        return train(routes, pf.params, leaf_size=pf.leaf_size)
+        return train(routes, params)
     except ValueError as exc:
         raise CliError(str(exc), code=2) from exc
 
@@ -106,13 +106,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pf = _load_params_file(args.params)
+    params = _load_params_file(args.params)
     if args.no_smoothing:
-        pf = ParamsFile(params=replace(pf.params, smoothing_enabled=False),
-                        leaf_size=pf.leaf_size)
+        params = replace(params, smoothing_enabled=False)
     train_routes = _load_routes(args.train, labeled=True)
     test_routes = _load_routes(args.test, labeled=True)
-    model = _train_model(train_routes, pf)
+    model = _train_model(train_routes, params)
     scores = score_dataset(model, test_routes, workers=_threads(args))
     sys.stdout.write(scores_csv(scores))
     print(f"earliness={scores.avg_earliness!r} mae_minutes={scores.mae_minutes!r}")
@@ -120,10 +119,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    pf = _load_params_file(args.params)
+    params = _load_params_file(args.params)
     train_routes = _load_routes(args.train, labeled=True)
     query_routes = _load_routes(args.query, labeled=False)
-    model = _train_model(train_routes, pf)
+    model = _train_model(train_routes, params)
 
     print("route_key,seq,predicted_port,predicted_arrival,raw_port")
     for route in query_routes:
@@ -141,9 +140,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
     cfg = GaConfig(population=args.population, generations=args.generations,
                    seed=args.seed)
     best, history = evolve(routes, cfg, workers=_threads(args))
-    pf = ParamsFile(params=best.to_params())
     try:
-        save_params(args.out, pf)
+        save_params(args.out, best.to_params())
         history_path = args.history or args.out + ".history.csv"
         with open(history_path, "w", encoding="utf-8") as fh:
             fh.write(history_csv(history))

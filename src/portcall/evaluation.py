@@ -69,16 +69,16 @@ def score_route(model: Model, route: Route) -> tuple[str, float, float]:
             mae_minutes(predictions, route.arrival_time))
 
 
-def score_dataset(model: Model, routes: list[Route], workers: int | None = None) -> Scores:
+def score_dataset(model: Model, routes: list[Route], workers: int = 1) -> Scores:
     """Replay every route and aggregate; deterministic for any worker count.
 
-    Routes replay independently (fresh state each), so they may run on a
-    thread pool; per-route rows keep input order and the averages are plain
-    arithmetic means over them.
+    Routes replay independently (fresh state each), so with more than one
+    worker they run on a thread pool, the package's only one; per-route rows
+    keep input order and the averages are plain arithmetic means over them.
     """
     if not routes:
         raise ValueError("no routes to score")
-    if workers is not None and workers <= 1:
+    if workers <= 1:
         per_route = [score_route(model, r) for r in routes]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -106,9 +106,6 @@ class SyntheticConfig:
     routes_per_port: int = 40
     points_min: int = 30
     points_max: int = 60
-    noise_sigma_deg: float = 0.05
-    speed_min_knots: float = 10.0
-    speed_max_knots: float = 20.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -116,11 +113,12 @@ class SyntheticConfig:
             raise ValueError("need at least 2 ports and 1 route per port")
         if not 2 <= self.points_min <= self.points_max:
             raise ValueError("invalid points_per_route range")
-        if not 0 < self.speed_min_knots <= self.speed_max_knots:
-            raise ValueError("invalid speed range")
 
 
 MIN_PORT_SEPARATION_DEG = 5.0
+NOISE_SIGMA_DEG = 0.05  # positional noise on each fix, per axis
+SPEED_MIN_KNOTS = 10.0  # each route cruises at a speed drawn from this range
+SPEED_MAX_KNOTS = 20.0
 _BASE_EPOCH = 1514764800  # 2018-01-01T00:00:00
 
 
@@ -186,13 +184,13 @@ def synth_records(cfg: SyntheticConfig) -> list[AisRecord]:
             dep_name, dep_lat, dep_lon = ports[dep_idx]
 
             n_pts = int(rng.integers(cfg.points_min, cfg.points_max + 1))
-            speed = round(float(rng.uniform(cfg.speed_min_knots, cfg.speed_max_knots)), 1)
+            speed = round(float(rng.uniform(SPEED_MIN_KNOTS, SPEED_MAX_KNOTS)), 1)
             ship = f"SHIP_{route_no % n_ships:03d}"
             ship_type = int(rng.choice([60, 70, 70, 70, 80]))
             draught = round(float(rng.uniform(4.0, 16.0)), 1)
 
             path = _slerp_path(_unit(dep_lat, dep_lon), _unit(arr_lat, arr_lon), n_pts)
-            noise = rng.normal(0.0, cfg.noise_sigma_deg, size=(n_pts, 2))
+            noise = rng.normal(0.0, NOISE_SIGMA_DEG, size=(n_pts, 2))
             lats, lons = [], []
             for k, u in enumerate(path):
                 lat, lon = _latlon(u)

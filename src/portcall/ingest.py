@@ -21,6 +21,8 @@ from datetime import datetime, timezone
 from math import isfinite
 from typing import IO, Iterable
 
+from .geo import normalize_lon
+
 AIS_HEADER = [
     "SHIP_ID",
     "SHIPTYPE",
@@ -105,7 +107,6 @@ def _opt_float(field: str, name: str, minimum: float | None = None) -> float | N
 
 
 def _parse_row(fields: list[str], labeled: bool) -> AisRecord:
-    from .geo import normalize_lon
 
     (ship_id, ship_type, speed, lon, lat, course, heading, timestamp,
      departure_port, draught, arrival_time, arrival_port) = (f.strip() for f in fields)

@@ -7,11 +7,8 @@ unknown key is an error so typos cannot silently leave a parameter untuned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classifier import ModelParams
 from .embedding import FeatureWeights
-from .index import DEFAULT_LEAF_SIZE
 
 _FLOAT_KEYS = {
     "magnitude.x": ("weights", "m_x"),
@@ -36,12 +33,6 @@ class ParamsError(ValueError):
     """A parameter file line that cannot be applied."""
 
 
-@dataclass(frozen=True)
-class ParamsFile:
-    params: ModelParams
-    leaf_size: int = DEFAULT_LEAF_SIZE
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -51,10 +42,9 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def parse_params(text: str) -> ParamsFile:
+def parse_params(text: str) -> ModelParams:
     weight_kw: dict[str, float] = {}
-    param_kw: dict[str, float | bool] = {}
-    leaf_size = DEFAULT_LEAF_SIZE
+    param_kw: dict[str, float | bool | int] = {}
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -78,6 +68,7 @@ def parse_params(text: str) -> ParamsFile:
                 leaf_size = int(value)
                 if leaf_size < 1:
                     raise ValueError("must be >= 1")
+                param_kw["leaf_size"] = leaf_size
             elif key in _BOOL_KEYS:
                 param_kw["smoothing_enabled"] = _parse_bool(value)
             else:
@@ -88,27 +79,24 @@ def parse_params(text: str) -> ParamsFile:
             raise ParamsError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
     try:
-        weights = FeatureWeights(**weight_kw)
-        params = ModelParams(weights=weights, **param_kw)
+        return ModelParams(weights=FeatureWeights(**weight_kw), **param_kw)
     except ValueError as exc:
         raise ParamsError(str(exc)) from exc
-    return ParamsFile(params=params, leaf_size=leaf_size)
 
 
-def load_params(path: str) -> ParamsFile:
+def load_params(path: str) -> ModelParams:
     with open(path, encoding="utf-8") as fh:
         return parse_params(fh.read())
 
 
-def format_params(pf: ParamsFile) -> str:
-    p = pf.params
+def format_params(p: ModelParams) -> str:
     pairs = [(key, repr(getattr(p.weights if group else p, name)))
              for key, (group, name) in _FLOAT_KEYS.items()]
-    pairs += [("leaf_size", str(pf.leaf_size)),
+    pairs += [("leaf_size", str(p.leaf_size)),
               ("smoothing.enabled", "true" if p.smoothing_enabled else "false")]
     return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
 
 
-def save_params(path: str, pf: ParamsFile) -> None:
+def save_params(path: str, params: ModelParams) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_params(pf))
+        fh.write(format_params(params))

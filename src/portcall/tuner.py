@@ -5,14 +5,15 @@ penalties; its fitness is the prediction score of a model trained with those
 values on the training split and scored on the held-out split. Routes (not
 points) are split so near-duplicate consecutive fixes cannot leak across the
 boundary. Standard real-valued GA: tournament selection, uniform crossover,
-Gaussian mutation with per-bound clamping, elitism. All randomness flows from
-one seeded stream consumed sequentially, so runs reproduce exactly no matter
-how fitness evaluation is parallelized.
+Gaussian mutation with per-bound clamping, elitism. Genomes are scored one at
+a time, in order; the only parallelism is per route inside ``fitness``, which
+replays the holdout routes on ``workers`` threads. All randomness flows from
+one seeded stream consumed sequentially, so runs reproduce exactly for any
+worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,12 @@ GENE_HIGH = np.array([1.0] * 5 + [PENALTY_MAX] * 4)
 
 # one full day of arrival error zeroes out the Query 2 term
 MAE_CEILING_MINUTES = 1440.0
+
+TOURNAMENT_SIZE = 3
+CROSSOVER_RATE = 0.9
+GENE_MUTATION_RATE = 0.2
+MUTATION_SIGMA = 0.1  # fraction of each gene's range
+ELITE_COUNT = 2
 
 
 @dataclass(frozen=True)
@@ -74,36 +81,28 @@ class Genome:
 class GaConfig:
     population: int = 32
     generations: int = 20
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    gene_mutation_rate: float = 0.2
-    mutation_sigma: float = 0.1  # fraction of each gene's range
-    elite_count: int = 2
     seed: int = 0
     fitness_lambda: float = 0.5
     split_fraction: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if not 0 <= self.elite_count < self.population:
-            raise ValueError("elite_count must be < population")
-        for name in ("crossover_rate", "gene_mutation_rate", "split_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if self.population <= ELITE_COUNT:
+            raise ValueError(f"population must be > {ELITE_COUNT}, the elite count")
+        if not 0.0 <= self.split_fraction <= 1.0:
+            raise ValueError("split_fraction must be in [0, 1]")
 
 
 def fitness(genome: Genome, train_routes: list[Route], val_routes: list[Route],
-            fitness_lambda: float = 0.5) -> float:
+            fitness_lambda: float = 0.5, workers: int = 1) -> float:
     """Earliness plus a bounded arrival-accuracy bonus on the holdout split.
 
-    Trains with the default leaf size and scores on the calling thread; the
-    GA parallelizes across genomes, not within one.
+    Trains with the default leaf size and replays the holdout routes on
+    ``workers`` threads; the value is the same for any worker count.
     """
     if not train_routes or not val_routes:
         raise ValueError("both splits must be non-empty")
     model = train(train_routes, genome.to_params())
-    scores = score_dataset(model, val_routes, workers=1)
+    scores = score_dataset(model, val_routes, workers=workers)
     arrival_term = max(0.0, 1.0 - scores.mae_minutes / MAE_CEILING_MINUTES)
     return scores.avg_earliness + fitness_lambda * arrival_term
 
@@ -129,7 +128,7 @@ class GenerationStat:
 
 
 def evolve(routes: list[Route], cfg: GaConfig,
-           workers: int | None = 1) -> tuple[Genome, list[GenerationStat]]:
+           workers: int = 1) -> tuple[Genome, list[GenerationStat]]:
     """Run the GA and return the best genome ever seen plus the history.
 
     Generation 0 is the initial population: uniform-random genomes plus one
@@ -147,21 +146,14 @@ def evolve(routes: list[Route], cfg: GaConfig,
 
     def evaluate(pop: list[np.ndarray]) -> list[float]:
         keys = [tuple(g) for g in pop]
-        missing = [k for k in dict.fromkeys(keys) if k not in cache]
-        if missing:
-            def run(key: tuple[float, ...]) -> float:
-                return fitness(Genome.from_array(np.array(key)), train_part, val_part,
-                               fitness_lambda=cfg.fitness_lambda)
-            if workers is not None and workers <= 1:
-                results = [run(k) for k in missing]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run, missing))
-            cache.update(zip(missing, results))
+        for key, genes in zip(keys, pop):
+            if key not in cache:
+                cache[key] = fitness(Genome.from_array(genes), train_part, val_part,
+                                     cfg.fitness_lambda, workers)
         return [cache[k] for k in keys]
 
     def tournament(fits: list[float]) -> int:
-        contenders = rng.integers(0, cfg.population, size=cfg.tournament_size)
+        contenders = rng.integers(0, cfg.population, size=TOURNAMENT_SIZE)
         best = int(contenders[0])
         for idx in contenders[1:]:
             if fits[int(idx)] > fits[best]:
@@ -176,17 +168,17 @@ def evolve(routes: list[Route], cfg: GaConfig,
 
     for gen in range(1, cfg.generations + 1):
         elite_order = sorted(range(cfg.population), key=lambda i: (-fits[i], i))
-        next_pop = [population[i].copy() for i in elite_order[:cfg.elite_count]]
+        next_pop = [population[i].copy() for i in elite_order[:ELITE_COUNT]]
         while len(next_pop) < cfg.population:
             pa = population[tournament(fits)]
             pb = population[tournament(fits)]
-            if rng.random() < cfg.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 take_b = rng.random(len(GENE_NAMES)) < 0.5
                 child = np.where(take_b, pb, pa)
             else:
                 child = pa.copy()
-            mutate = rng.random(len(GENE_NAMES)) < cfg.gene_mutation_rate
-            steps = rng.normal(0.0, cfg.mutation_sigma, size=len(GENE_NAMES)) * gene_range
+            mutate = rng.random(len(GENE_NAMES)) < GENE_MUTATION_RATE
+            steps = rng.normal(0.0, MUTATION_SIGMA, size=len(GENE_NAMES)) * gene_range
             child = np.where(mutate, child + steps, child)
             next_pop.append(np.clip(child, GENE_LOW, GENE_HIGH))
 

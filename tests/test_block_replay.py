@@ -1,6 +1,8 @@
 """Batch replay equals streaming: blocks of any size give the predictions of
 per-point classify_point calls, bit for bit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ def assert_batch_equals_stream(model, routes, rng):
 def test_batch_equals_stream_canonical(canonical_routes, leaf_size):
     rng = np.random.default_rng(40 + leaf_size)
     train_part, val = split_routes(canonical_routes, 0.8, 5)
-    model = train(train_part, ModelParams(), leaf_size=leaf_size)
+    model = train(train_part, ModelParams(leaf_size=leaf_size))
     if leaf_size == 1:
         # a tiny leaf size makes a large table, so queries run in small blocks
         assert max(len(r.points) for r in val) > model.table.block
@@ -87,7 +89,7 @@ def test_batch_equals_stream_lattice_ties(seed):
     for leaf_size in (1, 4, 32):
         for params in (ModelParams(), ModelParams(p_course=0.0, p_heading=0.0,
                                                   p_speed=0.0, p_dist=0.0)):
-            model = train(train_routes, params, leaf_size=leaf_size)
+            model = train(train_routes, replace(params, leaf_size=leaf_size))
             assert_batch_equals_stream(model, queries, rng)
 
 

@@ -9,6 +9,7 @@ from portcall.classifier import (
     ModelParams,
     RouteState,
     classify_point,
+    embed_points,
     similarity,
     train,
 )
@@ -80,8 +81,17 @@ def test_train_requires_labeled_routes():
         train([], ModelParams())
 
 
+def test_train_rejects_routes_that_were_not_enriched():
+    records = [make_record(ship="S1", lat=0.0, lon=0.0, ts=0, arr_time=7200, arr_port="PORTA"),
+               make_record(ship="S1", lat=1.0, lon=0.0, ts=3600, arr_time=7200, arr_port="PORTA"),
+               make_record(ship="S2", lat=0.0, lon=5.0, ts=0, arr_time=3600, arr_port="PORTB")]
+    routes = partition_routes(records)
+    enrich_route(routes[0])
+    with pytest.raises(ValueError, match=f"route {routes[1].route_id} is not enriched"):
+        train(routes, ModelParams())
+
+
 def test_candidates_one_per_port_and_brute_agreement():
-    from portcall.classifier import candidates_per_port
     from portcall.embedding import embed_arrays
 
     voyages = TWO_PORT_LANES + [
@@ -90,33 +100,36 @@ def test_candidates_one_per_port_and_brute_agreement():
     routes = build_routes(voyages)
     model = train(routes, ModelParams())
     q = make_point(lat=0.5, lon=0.2, course=0.0)
-    cands = candidates_per_port(model, q)
-    assert [port for port, _, _ in cands] == ["PORTA", "PORTB", "PORTC"]
+    ids, dists, _ = model.table.nearest(embed_points([q], model.params.weights))
+    # one candidate per port, in port order
+    assert ids.shape == dists.shape == (1, 3)
+    assert model.ports == ["PORTA", "PORTB", "PORTC"]
 
     qv = embed(q.record.lat_deg, q.record.lon_deg, q.bearing_deg,
                model.params.weights)
-    for port, cand, dist in cands:
+    for port, cand_id, dist in zip(model.ports, ids[0].tolist(), dists[0].tolist()):
         pts = [p for r in routes if r.arrival_port == port for p in r.points]
+        assert cand_id in model.per_port[port].points
         data = embed_arrays(np.array([p.record.lat_deg for p in pts]),
                             np.array([p.record.lon_deg for p in pts]),
                             np.array([p.bearing_deg for p in pts]),
                             model.params.weights)
         want_id, want_dist = brute_nearest(data, qv, np.array([p.point_id for p in pts]))
-        assert cand.point_id == want_id
+        assert cand_id == want_id
         assert dist == want_dist
 
 
 def test_candidate_exact_match_distance_zero():
-    from portcall.classifier import candidates_per_port
-
     routes = build_routes(TWO_PORT_LANES)
     model = train(routes, ModelParams())
     target = routes[0].points[1]
     q = RoutePoint(point_id=999, record=target.record,
                    bearing_deg=target.bearing_deg,
                    dist_from_departure_km=target.dist_from_departure_km)
-    by_port = {port: dist for port, _, dist in candidates_per_port(model, q)}
+    ids, dists, _ = model.table.nearest(embed_points([q], model.params.weights))
+    by_port = dict(zip(model.ports, dists[0].tolist()))
     assert by_port["PORTA"] == 0.0
+    assert ids[0, model.ports.index("PORTA")] == target.point_id
 
 
 def test_similarity_reduces_to_distance_with_zero_penalties():

@@ -241,8 +241,7 @@ def test_tune_round_trip(tmp_path, tiny_train, capsys):
     assert main(args) == 0
     first = capsys.readouterr().out
     assert "best_fitness=" in first
-    pf = load_params(str(out))
-    assert pf.leaf_size == 32
+    assert load_params(str(out)).leaf_size == 32
 
     history = (tmp_path / "tuned.params.history.csv").read_text()
     assert len(history.strip().split("\n")) == 1 + 3  # header + generations 0..2
@@ -250,6 +249,23 @@ def test_tune_round_trip(tmp_path, tiny_train, capsys):
     bytes_a = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == bytes_a
+
+
+def test_tune_output_independent_of_threads(tmp_path, capsys):
+    # 12 routes, so each genome's holdout split spreads over the pool's threads
+    data = tmp_path / "small.csv"
+    data.write_text(gen_synthetic(SyntheticConfig(n_ports=3, routes_per_port=4, points_min=10,
+                                                  points_max=15, seed=2)))
+    outputs = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"tuned{threads}.params"
+        history = tmp_path / f"history{threads}.csv"
+        assert main(["tune", "--train", str(data), "--generations", "2",
+                     "--population", "5", "--seed", "4", "--threads", threads,
+                     "--out", str(out), "--history", str(history)]) == 0
+        outputs.append((out.read_bytes(), history.read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def test_tune_empty_input_exit_2(tmp_path, capsys):

@@ -216,8 +216,6 @@ def test_synthetic_config_validation():
         SyntheticConfig(n_ports=1)
     with pytest.raises(ValueError):
         SyntheticConfig(points_min=10, points_max=5)
-    with pytest.raises(ValueError):
-        SyntheticConfig(speed_min_knots=0.0)
 
 
 def test_synthetic_routes_score_perfectly_on_themselves(canonical_routes):

@@ -191,7 +191,7 @@ def test_model_table_groups_are_the_port_trees(canonical_routes):
     """Training stacks every port's leaves into one table; each port's tree
     reads its group of that table, and the group holds the leaves a tree
     built on the port's points alone holds."""
-    model = train(canonical_routes, ModelParams(), leaf_size=8)
+    model = train(canonical_routes, ModelParams(leaf_size=8))
     assert len(model.per_port) > 1
     for g, ix in enumerate(model.per_port.values()):
         group, tree_table = model.table.group(g), ix.tree.table

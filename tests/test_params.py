@@ -6,7 +6,6 @@ from portcall.classifier import ModelParams
 from portcall.params import (
     KNOWN_KEYS,
     ParamsError,
-    ParamsFile,
     format_params,
     load_params,
     parse_params,
@@ -15,13 +14,13 @@ from portcall.params import (
 
 
 def test_empty_text_gives_defaults():
-    pf = parse_params("")
-    assert pf.params == ModelParams()
-    assert pf.leaf_size == 32
+    params = parse_params("")
+    assert params == ModelParams()
+    assert params.leaf_size == 32
 
 
 def test_full_round_trip(tmp_path):
-    pf = parse_params("\n".join([
+    params = parse_params("\n".join([
         "magnitude.x = 0.5",
         "magnitude.y = 0.25",
         "magnitude.z = 1.0",
@@ -36,27 +35,27 @@ def test_full_round_trip(tmp_path):
         "leaf_size = 16",
         "smoothing.enabled = false",
     ]))
-    assert pf.params.weights.m_x == 0.5
-    assert pf.params.p_dist == 3.25
-    assert pf.params.norm_dist_km == 120.0
-    assert pf.leaf_size == 16
-    assert pf.params.smoothing_enabled is False
+    assert params.weights.m_x == 0.5
+    assert params.p_dist == 3.25
+    assert params.norm_dist_km == 120.0
+    assert params.leaf_size == 16
+    assert params.smoothing_enabled is False
 
     path = tmp_path / "p.txt"
-    save_params(str(path), pf)
-    assert load_params(str(path)) == pf
+    save_params(str(path), params)
+    assert load_params(str(path)) == params
 
 
 def test_partial_file_keeps_other_defaults():
-    pf = parse_params("penalty.speed = 4.0\n")
-    assert pf.params.p_speed == 4.0
-    assert pf.params.p_course == ModelParams().p_course
-    assert pf.params.weights == ModelParams().weights
+    params = parse_params("penalty.speed = 4.0\n")
+    assert params.p_speed == 4.0
+    assert params.p_course == ModelParams().p_course
+    assert params.weights == ModelParams().weights
 
 
 def test_comments_and_blank_lines():
-    pf = parse_params("# tuned 2018-04-02\n\nleaf_size = 8  # small tree\n")
-    assert pf.leaf_size == 8
+    params = parse_params("# tuned 2018-04-02\n\nleaf_size = 8  # small tree\n")
+    assert params.leaf_size == 8
 
 
 def test_unknown_key_rejected():
@@ -89,6 +88,6 @@ def test_out_of_range_magnitude_rejected():
 
 
 def test_format_lists_every_known_key():
-    text = format_params(ParamsFile(params=ModelParams()))
+    text = format_params(ModelParams())
     present = {line.split("=")[0].strip() for line in text.strip().split("\n")}
     assert present == set(KNOWN_KEYS)

@@ -8,6 +8,7 @@ from portcall.embedding import FeatureWeights
 from portcall.ingest import AisRecord
 from portcall.routes import enrich_route, partition_routes
 from portcall.tuner import (
+    ELITE_COUNT,
     GENE_HIGH,
     GENE_LOW,
     GaConfig,
@@ -163,6 +164,6 @@ def test_ga_config_validation():
     with pytest.raises(ValueError):
         GaConfig(population=1)
     with pytest.raises(ValueError):
-        GaConfig(population=4, elite_count=4)
+        GaConfig(population=ELITE_COUNT)
     with pytest.raises(ValueError):
-        GaConfig(crossover_rate=1.5)
+        GaConfig(split_fraction=1.5)
