@@ -54,6 +54,8 @@ class ModelParams:
                 raise ValueError(f"{name} must be >= 0")
         if self.norm_speed_knots <= 0 or self.norm_dist_km <= 0:
             raise ValueError("normalizers must be > 0")
+        if self.leaf_size < 1:
+            raise ValueError("leaf_size must be >= 1")
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 from .classifier import Model, ModelParams, RouteState, classify_points, embed_points, train
 from .embedding import FeatureWeights, embed_arrays
 from .evaluation import SyntheticConfig, gen_synthetic, score_dataset, scores_csv
-from .index import DEFAULT_LEAF_SIZE, BallTree, brute_nearest
+from .index import BallTree, brute_nearest
 from .ingest import AisFormatError, format_timestamp, load_ais_csv
 from .params import load_params, save_params
 from .routes import Route, enrich_route, partition_routes
@@ -175,7 +175,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for name in dict.fromkeys(structures):
         t0 = time.perf_counter()
         if name == "balltree":
-            built[name] = BallTree(pts, ids=ids, leaf_size=args.leaf_size).nearest
+            built[name] = BallTree(pts, ids=ids).nearest
         else:
             built[name] = partial(brute_nearest, pts.copy(), ids=ids.copy())
         build_s[name] = time.perf_counter() - t0
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; default: all structures")
     p.add_argument("--queries", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--leaf-size", type=int, default=DEFAULT_LEAF_SIZE)
     p.set_defaults(func=cmd_bench)
 
     return parser

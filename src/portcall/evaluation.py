@@ -62,7 +62,8 @@ def mae_minutes(predictions: list[Prediction], true_arrival: int) -> float:
 
 
 def score_route(model: Model, route: Route) -> tuple[str, float, float]:
-    assert route.arrival_port is not None and route.arrival_time is not None
+    if route.arrival_port is None or route.arrival_time is None:
+        raise ValueError(f"route {route.route_id} is unlabeled and cannot be scored")
     predictions = replay_route(model, route)
     return (route.route_id,
             earliness(predictions, route.arrival_port),

@@ -8,10 +8,11 @@ distance comes from one function, so the two agree bit for bit.
 The tree is only its leaves: median splits on the dimension of maximum
 spread until each part holds at most ``leaf_size`` points, kept as a padded
 leaf table with each leaf's centroid and radius. One numpy kernel answers a
-block of queries against the leaf table of one or many trees: per (query,
-tree) it bounds every leaf, scans the leaves with the smallest bounds for an
-upper bound, then every leaf whose bound is ``<=`` it, so equal-distance
-candidates are reached.
+block of queries against the flat leaf list of one or many trees: it takes
+every (query, leaf) centroid distance once, bounds each leaf from below by
+it minus the radius and each tree from above by its least centroid distance
+plus radius, then scans every leaf whose bound is ``<=`` its tree's upper
+bound, so equal-distance candidates are reached.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import numpy as np
 
 DEFAULT_LEAF_SIZE = 32
 
-# Leaves scanned per (query, tree) to set the upper bound.
-FIRST_LEAVES = 4
 # Temporaries of one query block stay near this many bytes: a query costs
-# about 48 per leaf bound and 96 per point of its first leaves.
+# about 48 per leaf bound and 96 per scanned point, budgeted at 4 scanned
+# leaves a tree.
 BLOCK_BYTES = 1 << 20
 
 _NO_ID = np.iinfo(np.int64).max
@@ -79,9 +79,10 @@ class LeafTable:
     """The leaves of one or more ball trees (groups), queried together.
 
     Leaves sit back to back, group by group: ``points`` is (L, S, 5) with
-    short leaves padded by ``inf`` rows, ``ids`` is (L, S), and ``centroid``
-    and ``radius`` bound each leaf's points. Immutable; concurrent queries are
-    safe.
+    short leaves padded by ``inf`` rows, ``ids`` is (L, S), ``centroid`` and
+    ``radius`` bound each leaf's points, and ``leaf_group`` (L,) names each
+    leaf's group. Every group holds at least one leaf and every leaf at least
+    one point. Immutable; concurrent queries are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: np.ndarray, centroid: np.ndarray,
@@ -89,14 +90,8 @@ class LeafTable:
         self.points, self.ids, self.centroid, self.radius = points, ids, centroid, radius
         self.counts = np.asarray(counts, dtype=np.int64)
         self.offsets = np.cumsum(self.counts) - self.counts
-        col = np.arange(self.counts.max())
-        # slots[g, j] is leaf j of group g; a short group repeats its last
-        # leaf, and the padded bounds keep such slots at inf
-        self.slots = self.offsets[:, None] + np.minimum(col, self.counts[:, None] - 1)
-        real = col < self.counts[:, None]
-        self._centroid = np.where(real[:, :, None], centroid[self.slots], np.inf)
-        self._radius = np.where(real, radius[self.slots], 0.0)
-        per_query = 48 * self.slots.size + 96 * FIRST_LEAVES * len(counts) * points.shape[1]
+        self.leaf_group = np.repeat(np.arange(len(self.counts)), self.counts)
+        per_query = 48 * len(radius) + 96 * 4 * len(self.counts) * points.shape[1]
         self.block = max(1, BLOCK_BYTES // per_query)
 
     @classmethod
@@ -136,25 +131,19 @@ class LeafTable:
         return ids, dist, scanned
 
     def _block(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n_q = len(q)
-        n_g, width = self.slots.shape
-        # 1. the lower bound of every leaf, (query, group, slot)
-        bound = np.maximum(_distances(self._centroid, q[:, None, None, :]) - self._radius, 0.0)
-        # 2. the leaves with the smallest bounds set an upper bound
-        k = min(FIRST_LEAVES, width)
-        first = np.argpartition(bound, k - 1, axis=2)[:, :, :k]
-        d_first = _distances(self.points[self.slots[np.arange(n_g)[:, None], first]],
-                             q[:, None, None, None, :])
-        upper = d_first.reshape(n_q, n_g, -1).min(axis=2)
-        # 3. scan every leaf within the upper bound, and the least-bound leaf
-        # even if rounding lifted its bound above the distance it holds
-        upper = np.maximum(upper, bound.min(axis=2))
-        qi, gi, si = np.nonzero(bound <= upper[:, :, None])
-        leaf = self.slots[gi, si]
+        n_q, n_g = len(q), len(self.counts)
+        # 1. every (query, leaf) centroid distance, and each leaf's lower bound
+        dc = _distances(self.centroid, q[:, None, :])
+        bound = np.maximum(dc - self.radius, 0.0)
+        # 2. each group's upper bound: a leaf is non-empty and inside its ball
+        upper = np.minimum.reduceat(dc + self.radius, self.offsets, axis=1)
+        # 3. scan every leaf within its group's upper bound; the leaf that sets
+        # it always passes, as max(d - r, 0) <= d + r holds in floating point
+        qi, leaf = np.nonzero(bound <= upper[:, self.leaf_group])
         d = _distances(self.points[leaf], q[qi][:, None, :])
         # 4. per (query, group): the least distance, then the least id at it;
         # nonzero lists the pairs in order and every pair scans a leaf
-        pair = qi * n_g + gi
+        pair = qi * n_g + self.leaf_group[leaf]
         start = pair.searchsorted(np.arange(n_q * n_g))
         best = np.minimum.reduceat(d.min(axis=1), start)
         cand = np.where(d == best[pair][:, None], self.ids[leaf], _NO_ID)

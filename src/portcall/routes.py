@@ -52,7 +52,8 @@ def partition_routes(records: list[AisRecord], labeled: bool = True) -> list[Rou
     """Split records into routes; points sorted by timestamp (stable).
 
     Labeled records group by the (ship_id, departure_port, arrival_time) key;
-    a group whose rows name different arrival ports raises ValueError.
+    a record without arrival time or port, or a group whose rows name
+    different arrival ports, raises ValueError.
     Unlabeled records group per ship in timestamp order, breaking a segment
     whenever the departure port changes. Every record lands in exactly one
     route; point ids are assigned sequentially over the returned routes.
@@ -61,7 +62,9 @@ def partition_routes(records: list[AisRecord], labeled: bool = True) -> list[Rou
     if labeled:
         groups: dict[tuple[str, str, int], list[AisRecord]] = {}
         for rec in records:
-            assert rec.arrival_time is not None
+            if rec.arrival_time is None or rec.arrival_port is None:
+                raise ValueError(f"record of ship {rec.ship_id} at {rec.timestamp} "
+                                 "has no arrival time or port")
             groups.setdefault((rec.ship_id, rec.departure_port, rec.arrival_time), []).append(rec)
         for (ship_id, dep, arr_time), recs in groups.items():
             recs.sort(key=lambda r: r.timestamp)

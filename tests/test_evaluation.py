@@ -12,6 +12,7 @@ from portcall.evaluation import (
     mae_minutes,
     replay_route,
     score_dataset,
+    score_route,
     scores_csv,
     synth_records,
 )
@@ -216,6 +217,18 @@ def test_synthetic_config_validation():
         SyntheticConfig(n_ports=1)
     with pytest.raises(ValueError):
         SyntheticConfig(points_min=10, points_max=5)
+
+
+def test_scoring_an_unlabeled_route_rejected(canonical_routes):
+    model = train(canonical_routes[:10], ModelParams())
+    records = [make_record(lat=0.1 * k, ts=1000 + 60 * k, arr_time=None, arr_port=None)
+               for k in range(3)]
+    (route,) = partition_routes(records, labeled=False)
+    enrich_route(route)
+    with pytest.raises(ValueError, match=f"route {route.route_id} is unlabeled"):
+        score_route(model, route)
+    with pytest.raises(ValueError, match=f"route {route.route_id} is unlabeled"):
+        score_dataset(model, canonical_routes[:2] + [route], workers=2)
 
 
 def test_synthetic_routes_score_perfectly_on_themselves(canonical_routes):

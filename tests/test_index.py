@@ -1,10 +1,13 @@
 """Exact nearest-neighbor structures versus the brute-force oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from portcall.classifier import ModelParams, embed_points, train
-from portcall.index import BallTree, LeafTable, brute_nearest
+from portcall.index import BLOCK_BYTES, BallTree, LeafTable, brute_nearest
+from portcall.tuner import split_routes
 
 
 def random_instance(rng, n):
@@ -94,7 +97,8 @@ def test_ties_and_duplicates_match_brute_sweep():
     the tree, and a table stacking several trees, must pick the same smallest
     id at the same distance as the linear scan, for every leaf size. The
     stacked ports differ widely in size, so short groups and short leaves are
-    padded, and one port is a single leaf of one point."""
+    padded, one port is a single leaf of one point, and in one every point is
+    the same point, so its leaves have radius 0 and all its points tie."""
     rng = np.random.default_rng(39)
     for _ in range(40):
         n = int(rng.integers(1, 300))
@@ -104,14 +108,18 @@ def test_ties_and_duplicates_match_brute_sweep():
             tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
             for q in queries:
                 assert tree.nearest(q) == brute_nearest(pts, q, ids)
+        n_same = int(rng.integers(2, 80))
+        same = (np.tile(rng.integers(-1, 2, size=5).astype(float), (n_same, 1)),
+                rng.permutation(10 * n_same)[:n_same])
         ports = [(pts, ids), lattice_points(rng, 1), lattice_points(rng, int(rng.integers(2, 8))),
-                 lattice_points(rng, int(rng.integers(300, 600)))]
+                 lattice_points(rng, int(rng.integers(300, 600))), same]
         for leaf_size in (1, 4, 32):
             table = LeafTable.stack([BallTree(p, ids=i, leaf_size=leaf_size).table
                                      for p, i in ports])
+            assert (table.group(len(ports) - 1).radius == 0.0).all()
             got_ids, got_d, scanned = table.nearest(queries)
             for g, (p, i) in enumerate(ports):
-                assert (scanned[:, g] >= 1).all()
+                assert ((1 <= scanned[:, g]) & (scanned[:, g] <= table.counts[g])).all()
                 for k, q in enumerate(queries):
                     assert (int(got_ids[k, g]), float(got_d[k, g])) == brute_nearest(p, q, i)
 
@@ -135,6 +143,23 @@ def test_nearest_with_stats_counts_bounds_and_scans():
         assert (pid, dist) == tree.nearest(q)
         assert stats.nodes_visited == tree.leaf_count
         assert 1 <= stats.leaves_visited <= tree.leaf_count
+
+
+def test_kernel_temporaries_stay_bounded(canonical_routes):
+    """Blocks are sized so one nearest() call over a long route allocates
+    a few BLOCK_BYTES at most, however many queries it holds."""
+    train_part, val = split_routes(canonical_routes, 0.8, 0)
+    model = train(train_part, ModelParams())
+    longest = max(val, key=lambda r: len(r.points))
+    queries = embed_points(longest.points, model.params.weights)
+    assert len(queries) > model.table.block
+    tracemalloc.start()
+    try:
+        model.table.nearest(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * BLOCK_BYTES
 
 
 def test_leaf_size_variations_agree():

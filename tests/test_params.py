@@ -66,10 +66,16 @@ def test_unknown_key_rejected():
 def test_bad_value_rejected():
     with pytest.raises(ParamsError, match="line 1"):
         parse_params("penalty.course = fast\n")
-    with pytest.raises(ParamsError):
+    with pytest.raises(ParamsError, match="line 1: bad value for 'leaf_size'"):
         parse_params("leaf_size = 0\n")
     with pytest.raises(ParamsError):
         parse_params("smoothing.enabled = maybe\n")
+
+
+def test_leaf_size_below_one_rejected():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="leaf_size must be >= 1"):
+            ModelParams(leaf_size=bad)
 
 
 def test_duplicate_key_rejected():

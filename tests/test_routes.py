@@ -45,6 +45,14 @@ def test_conflicting_arrival_ports_rejected():
         partition_routes(records)
 
 
+@pytest.mark.parametrize("arr_time,arr_port", [(None, None), (None, "BRAVO"), (5000, None)])
+def test_labeled_record_without_arrival_rejected(arr_time, arr_port):
+    records = [make_record(ts=1000),
+               make_record(ship="SHIP_B", ts=1100, arr_time=arr_time, arr_port=arr_port)]
+    with pytest.raises(ValueError, match="ship SHIP_B at 1100 has no arrival time or port"):
+        partition_routes(records)
+
+
 def test_out_of_order_timestamps_sorted():
     records = [make_record(ts=t) for t in (1300, 1000, 1200, 1100)]
     (route,) = partition_routes(records)
