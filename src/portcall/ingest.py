@@ -5,10 +5,15 @@ File format (comma-separated, one header line):
     SHIP_ID,SHIPTYPE,SPEED,LON,LAT,COURSE,HEADING,TIMESTAMP,DEPARTURE_PORT_NAME,REPORTED_DRAUGHT,ARRIVAL_TIME,ARRIVAL_PORT
 
 Training ("labeled") files carry ARRIVAL_TIME and ARRIVAL_PORT; query files
-use the same header with those two columns empty. Timestamps are either
-``YYYY-MM-DDTHH:MM:SS`` (UTC assumed) or integer epoch seconds. A heading of
-511 means "unavailable" per the AIS standard and is mapped to missing.
-Every numeric field must be finite: ``nan`` and ``inf`` are rejected.
+use the same header with those two columns empty. Timestamps are UTC:
+zero-padded ``YYYY-MM-DDTHH:MM:SS`` (the fast path), the same fields
+unpadded as ``strptime`` reads them (``2018-1-1T1:2:3``), or an integer
+epoch-seconds literal as ``int()`` reads it (``+86400``, ``1_000``).
+Near-ISO forms are rejected: fractions, a space for the ``T``, zone
+suffixes, ``20180101T000000`` and out-of-range fields (``T24:00:00``).
+A heading of 511 means "unavailable" per the AIS standard and is mapped to
+missing. Every numeric field must be finite: ``nan`` and ``inf`` are
+rejected. A field that contains a comma or a line break is a row error.
 Malformed rows are collected as RowError values, never silently dropped.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
@@ -71,13 +77,31 @@ class AisRecord:
     arrival_port: str | None = None
 
 
+# Zero-padded ASCII ISO, the only shape the fromisoformat fast path takes:
+# fromisoformat also accepts fractions, a space separator, zone suffixes and
+# "20180101T000000", which strptime rejects; strptime also accepts unpadded
+# fields and some non-ASCII digits, which fromisoformat rejects, so those fall
+# through to strptime.
+_ISO_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
+
+
 def parse_timestamp(text: str) -> int:
-    """Parse ``YYYY-MM-DDTHH:MM:SS`` (UTC) or an epoch-seconds literal."""
+    """Parse ``YYYY-MM-DDTHH:MM:SS`` (UTC) or an epoch-seconds literal.
+
+    The date-time may be zero-padded or not (``2018-1-1T1:2:3``), as
+    ``strptime`` reads it; the literal is anything ``int()`` reads.
+    """
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    if _ISO_SHAPE.fullmatch(text):
+        try:
+            return int(datetime.fromisoformat(text).replace(tzinfo=timezone.utc).timestamp())
+        except ValueError:
+            pass
+    else:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
     except ValueError:
@@ -106,10 +130,10 @@ def _opt_float(field: str, name: str, minimum: float | None = None) -> float | N
     return value
 
 
-def _parse_row(fields: list[str], labeled: bool) -> AisRecord:
-
+def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> AisRecord:
+    """One data row to a record; ``arrivals`` caches parsed arrival times."""
     (ship_id, ship_type, speed, lon, lat, course, heading, timestamp,
-     departure_port, draught, arrival_time, arrival_port) = (f.strip() for f in fields)
+     departure_port, draught, arrival_time, arrival_port) = [f.strip() for f in fields]
 
     if not ship_id:
         raise ValueError("empty ship id")
@@ -139,7 +163,10 @@ def _parse_row(fields: list[str], labeled: bool) -> AisRecord:
     if labeled:
         if not arrival_time or not arrival_port:
             raise ValueError("labeled row missing arrival time or port")
-        arrival_ts: int | None = parse_timestamp(arrival_time)
+        arrival_ts: int | None = arrivals.get(arrival_time)
+        if arrival_ts is None:
+            # a string that fails raises before it is stored: each of its rows reports it
+            arrival_ts = arrivals[arrival_time] = parse_timestamp(arrival_time)
         if arrival_ts < ts:
             raise ValueError("arrival time before timestamp")
         arrival_p: str | None = arrival_port.upper()
@@ -149,20 +176,8 @@ def _parse_row(fields: list[str], labeled: bool) -> AisRecord:
         arrival_ts = None
         arrival_p = None
 
-    return AisRecord(
-        ship_id=ship_id,
-        ship_type=ship_type_i,
-        speed_knots=speed_f,
-        lon_deg=lon_f,
-        lat_deg=lat_f,
-        course_deg=course_f,
-        heading_deg=heading_f,
-        timestamp=ts,
-        departure_port=departure_port.upper(),
-        draught=draught_f,
-        arrival_time=arrival_ts,
-        arrival_port=arrival_p,
-    )
+    return AisRecord(ship_id, ship_type_i, speed_f, lon_f, lat_f, course_f, heading_f, ts,
+                     departure_port.upper(), draught_f, arrival_ts, arrival_p)
 
 
 def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord], list[RowError]]:
@@ -191,17 +206,25 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
 
     records: list[AisRecord] = []
     errors: list[RowError] = []
-    for line_no, fields in enumerate(reader, start=2):
+    arrivals: dict[str, int] = {}
+    last_line = reader.line_num
+    for fields in reader:
+        # a quoted field may span lines: a row starts on the line after the last one read
+        line_no, last_line = last_line + 1, reader.line_num
         if not fields:
             continue
         if len(fields) != len(AIS_HEADER):
             errors.append(RowError(line_no, f"expected {len(AIS_HEADER)} fields, got {len(fields)}"))
             continue
-        if any("," in f for f in fields):
+        joined = "".join(fields)
+        if "," in joined:
             errors.append(RowError(line_no, "field contains a comma"))
             continue
+        if "\n" in joined or "\r" in joined:
+            errors.append(RowError(line_no, "field contains a line break"))
+            continue
         try:
-            records.append(_parse_row(fields, labeled))
+            records.append(_parse_row(fields, labeled, arrivals))
         except ValueError as exc:
             errors.append(RowError(line_no, str(exc)))
     return records, errors

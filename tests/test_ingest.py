@@ -1,10 +1,18 @@
 """CSV ingestion: schema, row errors, timestamp formats, round-trips."""
 
+from datetime import datetime, timezone
+from math import isfinite
+
+import numpy as np
 import pytest
 
+from portcall.geo import normalize_lon
 from portcall.ingest import (
     AIS_HEADER,
+    HEADING_UNAVAILABLE,
     AisFormatError,
+    AisRecord,
+    RowError,
     format_timestamp,
     parse_ais_csv,
     parse_timestamp,
@@ -26,6 +34,32 @@ def test_parse_timestamp_formats():
     assert parse_timestamp("2018-03-01T10:00:00") == 1519898400
     with pytest.raises(ValueError):
         parse_timestamp("01-05-15 9:12")
+
+
+@pytest.mark.parametrize("text, epoch", [
+    ("2018-1-1T1:2:3", 1514768523),  # unpadded, as strptime reads it
+    ("+86400", 86400),
+    ("1_000", 1000),
+    (" 2018-03-01T10:00:00 ", 1519898400),
+])
+def test_parse_timestamp_accepted_forms(text, epoch):
+    assert parse_timestamp(text) == epoch
+
+
+@pytest.mark.parametrize("text", [
+    # fromisoformat reads the first five; strptime reads none
+    "2018-01-01T00:00:00.5",
+    "2018-01-01 00:00:00",
+    "2018-01-01T00:00:00+00:00",
+    "2018-01-01T00:00:00Z",
+    "20180101T000000",
+    "2018-01-01T24:00:00",
+    "2018-02-30T00:00:00",
+    "2018-01-01T00:00:60",
+])
+def test_parse_timestamp_rejected_forms(text):
+    with pytest.raises(ValueError, match="unparseable timestamp"):
+        parse_timestamp(text)
 
 
 def test_format_timestamp_round_trip():
@@ -109,6 +143,26 @@ def test_non_finite_value_is_row_error(column, value):
     assert "not finite" in errors[0].reason
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n"])
+def test_quoted_line_break_is_row_error_on_its_physical_line(brk):
+    broken = GOOD_LABELED.replace(",MARSEILLE,", f',"PORT{brk}_02",')
+    rows = [GOOD_LABELED, broken, GOOD_LABELED, GOOD_LABELED.replace(",12.5,", ",-1,")]
+    records, errors = parse_ais_csv(HEADER + "\n" + "\n".join(rows) + "\n", labeled=True)
+    assert len(records) == 2
+    # the broken row spans lines 3-4, so the negative speed sits on line 6
+    assert errors == [RowError(3, "field contains a line break"), RowError(6, "negative speed")]
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"])
+@pytest.mark.parametrize("column", ["SHIP_ID", "DEPARTURE_PORT_NAME", "ARRIVAL_PORT"])
+def test_field_with_line_break_rejected(column, brk):
+    fields = GOOD_LABELED.split(",")
+    fields[AIS_HEADER.index(column)] = f'"A{brk}B"'
+    records, errors = parse_ais_csv(f"{HEADER}\n{','.join(fields)}\n", labeled=True)
+    assert records == []
+    assert errors == [RowError(2, "field contains a line break")]
+
+
 def test_labeled_requires_arrival_fields():
     records, errors = parse_ais_csv(f"{HEADER}\n{GOOD_UNLABELED}\n", labeled=True)
     assert records == []
@@ -146,3 +200,196 @@ def test_synthetic_round_trip(canonical_records):
     records, errors = parse_ais_csv(text, labeled=True)
     assert errors == []
     assert records == canonical_records
+
+
+# --- reference parser: the row parser as it was before the timestamp fast
+# path and the arrival cache, kept as the oracle for the fuzz below.
+
+def oracle_parse_timestamp(text: str) -> int:
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+    except ValueError:
+        raise ValueError(f"unparseable timestamp: {text!r}") from None
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+def _oracle_float(field: str, name: str) -> float:
+    value = float(field)
+    if not isfinite(value):
+        raise ValueError(f"{name} is not finite")
+    return value
+
+
+def _oracle_opt_float(field: str, name: str, minimum: float | None = None) -> float | None:
+    if field == "":
+        return None
+    value = _oracle_float(field, name)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
+
+
+def oracle_parse_row(fields: list[str], labeled: bool) -> AisRecord:
+    (ship_id, ship_type, speed, lon, lat, course, heading, timestamp,
+     departure_port, draught, arrival_time, arrival_port) = (f.strip() for f in fields)
+
+    if not ship_id:
+        raise ValueError("empty ship id")
+    ship_type_i = int(ship_type)
+    speed_f = _oracle_float(speed, "speed")
+    if speed_f < 0:
+        raise ValueError("negative speed")
+    lat_f = _oracle_float(lat, "latitude")
+    if not -90.0 <= lat_f <= 90.0:
+        raise ValueError("latitude out of range")
+    lon_f = normalize_lon(_oracle_float(lon, "longitude"))
+
+    course_f = _oracle_opt_float(course, "course")
+    if course_f is not None and not 0.0 <= course_f < 360.0:
+        raise ValueError("course out of range")
+    heading_f = _oracle_opt_float(heading, "heading")
+    if heading_f is not None and heading_f == HEADING_UNAVAILABLE:
+        heading_f = None
+    if heading_f is not None and not 0.0 <= heading_f < 360.0:
+        raise ValueError("heading out of range")
+
+    ts = oracle_parse_timestamp(timestamp)
+    if not departure_port:
+        raise ValueError("empty departure port")
+    draught_f = _oracle_opt_float(draught, "draught", minimum=0.0)
+
+    if labeled:
+        if not arrival_time or not arrival_port:
+            raise ValueError("labeled row missing arrival time or port")
+        arrival_ts: int | None = oracle_parse_timestamp(arrival_time)
+        if arrival_ts < ts:
+            raise ValueError("arrival time before timestamp")
+        arrival_p: str | None = arrival_port.upper()
+    else:
+        if arrival_time or arrival_port:
+            raise ValueError("unlabeled row carries arrival fields")
+        arrival_ts = None
+        arrival_p = None
+
+    return AisRecord(
+        ship_id=ship_id,
+        ship_type=ship_type_i,
+        speed_knots=speed_f,
+        lon_deg=lon_f,
+        lat_deg=lat_f,
+        course_deg=course_f,
+        heading_deg=heading_f,
+        timestamp=ts,
+        departure_port=departure_port.upper(),
+        draught=draught_f,
+        arrival_time=arrival_ts,
+        arrival_port=arrival_p,
+    )
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+# Each mutation maps a field's canonical text and the rng to new text.
+TIMESTAMP_MUTATIONS = [
+    lambda v, rng: v.replace("-0", "-").replace("T0", "T").replace(":0", ":"),  # unpadded
+    lambda v, rng: v + ".5",
+    lambda v, rng: v.replace("T", " "),
+    lambda v, rng: v + "+00:00",
+    lambda v, rng: v[:11] + "24:00:00",
+    lambda v, rng: v[:5] + "02-30" + v[10:],
+    lambda v, rng: v[:17] + "60",
+    lambda v, rng: v.translate(ARABIC_INDIC),
+    lambda v, rng: v[:-1] + "٥",  # one non-ASCII digit
+    lambda v, rng: v.replace("-", "").replace(":", ""),
+    lambda v, rng: str(parse_timestamp(v)),
+    lambda v, rng: "+" + str(parse_timestamp(v)),
+    lambda v, rng: f"{parse_timestamp(v) // 1000}_{parse_timestamp(v) % 1000:03d}",
+    lambda v, rng: "1_000",
+    lambda v, rng: "+86400",
+    lambda v, rng: f"  {v} ",
+    lambda v, rng: "",
+    lambda v, rng: "0000-01-01T00:00:00",
+    lambda v, rng: "9999-12-31T23:59:59",
+]
+
+NUMBER_MUTATIONS = [
+    lambda v, rng: f" {v}  ",
+    lambda v, rng: "Infinity",
+    lambda v, rng: "-Infinity",
+    lambda v, rng: "nan",
+    lambda v, rng: "NaN",
+    lambda v, rng: "",
+    lambda v, rng: "1_0",
+    lambda v, rng: v.translate(ARABIC_INDIC),
+    lambda v, rng: "511",
+    lambda v, rng: "511.0",
+    lambda v, rng: "360",
+    lambda v, rng: "-1",
+    lambda v, rng: "-0.0",
+    lambda v, rng: "1e3",
+    lambda v, rng: repr(float(rng.uniform(-400, 400))),
+]
+
+TEXT_MUTATIONS = [
+    lambda v, rng: "",
+    lambda v, rng: "   ",
+    lambda v, rng: f" {v.lower()} ",
+]
+
+TIMESTAMP_COLUMNS = [AIS_HEADER.index(c) for c in ("TIMESTAMP", "ARRIVAL_TIME")]
+NUMBER_COLUMNS = [AIS_HEADER.index(c) for c in ("SHIPTYPE", "SPEED", "LON", "LAT", "COURSE",
+                                                "HEADING", "REPORTED_DRAUGHT")]
+TEXT_COLUMNS = [AIS_HEADER.index(c) for c in ("SHIP_ID", "DEPARTURE_PORT_NAME",
+                                              "ARRIVAL_PORT")]
+MUTATIONS = ([(c, m) for c in TIMESTAMP_COLUMNS for m in TIMESTAMP_MUTATIONS]
+             + [(c, m) for c in NUMBER_COLUMNS for m in NUMBER_MUTATIONS]
+             + [(c, m) for c in TEXT_COLUMNS for m in TEXT_MUTATIONS])
+ARRIVAL_TIME = AIS_HEADER.index("ARRIVAL_TIME")
+
+
+def _oracle_parse(rows: list[list[str]], labeled: bool) -> tuple[list, list]:
+    records, errors = [], []
+    for line, fields in enumerate(rows, start=2):
+        try:
+            records.append(oracle_parse_row(fields, labeled))
+        except ValueError as exc:
+            errors.append(RowError(line, str(exc)))
+    return records, errors
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_parse_matches_oracle_fuzz(canonical_records, seed, labeled):
+    rng = np.random.default_rng(seed)
+    base = records_to_csv(canonical_records).splitlines()[1:]
+    canonical = [base[i].split(",") for i in rng.choice(len(base), size=600, replace=False)]
+    rows = [list(fields) for fields in canonical]
+    if not labeled:
+        for fields in rows:
+            fields[-2:] = ["", ""]
+
+    # every mutation at least once, then random ones; a row may take several
+    picks = list(range(len(MUTATIONS))) + list(rng.integers(0, len(MUTATIONS), size=150))
+    for k in picks:
+        column, mutate = MUTATIONS[k]
+        i = int(rng.integers(0, len(rows)))
+        rows[i][column] = mutate(canonical[i][column], rng)
+    # one bad arrival string on several rows: each row that reaches it reports it
+    bad_arrival = "2018-02-30T12:00:00"
+    for i in rng.choice(len(rows), size=8, replace=False):
+        rows[i][ARRIVAL_TIME] = bad_arrival
+
+    text = HEADER + "\n" + "\n".join(",".join(f) for f in rows) + "\n"
+    records, errors = parse_ais_csv(text, labeled=labeled)
+    expected_records, expected_errors = _oracle_parse(rows, labeled)
+    assert records == expected_records
+    assert errors == expected_errors
+    # both outcomes are well exercised
+    assert len(errors) >= 100 and len(records) >= 400
+    if labeled:
+        assert sum(bad_arrival in e.reason for e in errors) >= 2
