@@ -19,6 +19,7 @@ and parallel runs, and blocks of any size, emit identical predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -49,11 +50,15 @@ class ModelParams:
     leaf_size: int = DEFAULT_LEAF_SIZE
 
     def __post_init__(self) -> None:
+        # nan or inf here makes similarities nan or inf, and min() then keeps the first port
         for name in ("p_course", "p_heading", "p_speed", "p_dist"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.norm_speed_knots <= 0 or self.norm_dist_km <= 0:
-            raise ValueError("normalizers must be > 0")
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(f"{name}={value} must be finite and >= 0")
+        for name in ("norm_speed_knots", "norm_dist_km"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name}={value} must be finite and > 0")
         if self.leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
 

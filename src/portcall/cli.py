@@ -5,7 +5,7 @@ Subcommands cover the full workflow: ``gen`` writes a synthetic dataset,
 predictions for an unlabeled stream, ``tune`` searches parameters with the
 genetic algorithm, and ``bench`` times the ball tree against the brute scan.
 
-Exit codes: 0 success, 1 file or parse error, 2 empty dataset. All data
+Exit codes: 0 success, 1 bad argument, file or parse error, 2 empty dataset. All data
 output is byte-identical for any --threads value; only wall-clock timings
 vary. No model is ever persisted: training is fast enough to redo per
 invocation, so only the parameter file format is durable.
@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import replace
 from functools import partial
+from typing import TypeVar
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .tuner import GaConfig, evolve, history_csv
 from . import __version__
 
 STRUCTURES = ("balltree", "brute")
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -81,6 +84,14 @@ def _train_model(routes: list[Route], params: ModelParams) -> Model:
         raise CliError(str(exc), code=2) from exc
 
 
+def _config(cls: type[T], **kwargs: object) -> T:
+    """Build a config dataclass; the ValueError of its own check exits 1."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _threads(args: argparse.Namespace) -> int:
     n = args.threads if args.threads is not None else (os.cpu_count() or 1)
     if n < 1:
@@ -89,11 +100,8 @@ def _threads(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        cfg = SyntheticConfig(n_ports=args.ports, routes_per_port=args.routes_per_port,
-                              seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cfg = _config(SyntheticConfig, n_ports=args.ports, routes_per_port=args.routes_per_port,
+                  seed=args.seed)
     text = gen_synthetic(cfg)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -134,11 +142,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    cfg = _config(GaConfig, population=args.population, generations=args.generations,
+                  seed=args.seed)
     routes = _load_routes(args.train, labeled=True)
     if len(routes) < 2:
         raise CliError("need at least 2 labeled routes to tune", code=2)
-    cfg = GaConfig(population=args.population, generations=args.generations,
-                   seed=args.seed)
     best, history = evolve(routes, cfg, workers=_threads(args))
     try:
         save_params(args.out, best.to_params())
@@ -166,6 +174,8 @@ def _bench_queries(n: int, seed: int) -> np.ndarray:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.queries < 1 or args.seed < 0:
+        raise CliError("--queries must be >= 1 and --seed >= 0")
     structures = args.structure or list(STRUCTURES)
     routes = _load_routes(args.train, labeled=True)
     pts, ids = _bench_points(routes)

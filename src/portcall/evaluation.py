@@ -114,6 +114,8 @@ class SyntheticConfig:
             raise ValueError("need at least 2 ports and 1 route per port")
         if not 2 <= self.points_min <= self.points_max:
             raise ValueError("invalid points_per_route range")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 MIN_PORT_SEPARATION_DEG = 5.0

@@ -13,7 +13,8 @@ Near-ISO forms are rejected: fractions, a space for the ``T``, zone
 suffixes, ``20180101T000000`` and out-of-range fields (``T24:00:00``).
 A heading of 511 means "unavailable" per the AIS standard and is mapped to
 missing. Every numeric field must be finite: ``nan`` and ``inf`` are
-rejected. A field that contains a comma or a line break is a row error.
+rejected. A field that contains a comma or a line break is a row error, and
+so is a row the CSV reader cannot read (a field over ``csv.field_size_limit()``).
 Malformed rows are collected as RowError values, never silently dropped.
 """
 
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .geo import normalize_lon
 
@@ -180,6 +181,18 @@ def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> Ai
                      departure_port.upper(), draught_f, arrival_ts, arrival_p)
 
 
+def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
+    """Each row, or the csv.Error raised in its place; the reader carries on
+    with the next line."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+
+
 def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord], list[RowError]]:
     """Parse an AIS CSV stream into records plus per-row errors.
 
@@ -192,15 +205,19 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
         number of data rows, and record order follows the file.
 
     Raises:
-        AisFormatError: the header line is missing or has the wrong columns.
+        AisFormatError: the header line is missing, unreadable or has the
+            wrong columns.
     """
     if isinstance(stream, str):
-        stream = io.StringIO(stream)
+        # newline="" as for a file, so a lone \r splits rows the same way
+        stream = io.StringIO(stream, newline="")
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise AisFormatError("empty input: missing header") from None
+    except csv.Error as exc:
+        raise AisFormatError(f"unreadable header: {exc}") from exc
     if [h.strip() for h in header] != AIS_HEADER:
         raise AisFormatError(f"unexpected header {header!r}; expected {AIS_HEADER!r}")
 
@@ -208,9 +225,12 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
     errors: list[RowError] = []
     arrivals: dict[str, int] = {}
     last_line = reader.line_num
-    for fields in reader:
+    for fields in _rows(reader):
         # a quoted field may span lines: a row starts on the line after the last one read
         line_no, last_line = last_line + 1, reader.line_num
+        if isinstance(fields, csv.Error):
+            errors.append(RowError(line_no, str(fields)))
+            continue
         if not fields:
             continue
         if len(fields) != len(AIS_HEADER):

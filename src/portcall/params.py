@@ -3,6 +3,11 @@
 One ``key = value`` pair per line; ``#`` starts a comment; blank lines are
 ignored. Every key is optional and falls back to the built-in default, but an
 unknown key is an error so typos cannot silently leave a parameter untuned.
+
+Each key names a ``FeatureWeights`` field (``magnitude.*``) or a
+``ModelParams`` field, and its value is read as the type of that field's
+default. The owner is rebuilt after every line, so its own check names the
+line of a bad value.
 """
 
 from __future__ import annotations
@@ -10,23 +15,26 @@ from __future__ import annotations
 from .classifier import ModelParams
 from .embedding import FeatureWeights
 
-_FLOAT_KEYS = {
-    "magnitude.x": ("weights", "m_x"),
-    "magnitude.y": ("weights", "m_y"),
-    "magnitude.z": ("weights", "m_z"),
-    "magnitude.bearing_sin": ("weights", "m_sin"),
-    "magnitude.bearing_cos": ("weights", "m_cos"),
-    "penalty.course": (None, "p_course"),
-    "penalty.heading": (None, "p_heading"),
-    "penalty.speed": (None, "p_speed"),
-    "penalty.dist_from_departure": (None, "p_dist"),
-    "norm.speed_knots": (None, "norm_speed_knots"),
-    "norm.dist_km": (None, "norm_dist_km"),
+# file key -> field name, in file order
+_FIELDS = {
+    "magnitude.x": "m_x",
+    "magnitude.y": "m_y",
+    "magnitude.z": "m_z",
+    "magnitude.bearing_sin": "m_sin",
+    "magnitude.bearing_cos": "m_cos",
+    "penalty.course": "p_course",
+    "penalty.heading": "p_heading",
+    "penalty.speed": "p_speed",
+    "penalty.dist_from_departure": "p_dist",
+    "norm.speed_knots": "norm_speed_knots",
+    "norm.dist_km": "norm_dist_km",
+    "leaf_size": "leaf_size",
+    "smoothing.enabled": "smoothing_enabled",
 }
-_INT_KEYS = {"leaf_size"}
-_BOOL_KEYS = {"smoothing.enabled"}
+_WEIGHT_DEFAULTS = vars(FeatureWeights())
+_DEFAULTS = {**_WEIGHT_DEFAULTS, **vars(ModelParams())}
 
-KNOWN_KEYS = sorted(set(_FLOAT_KEYS) | _INT_KEYS | _BOOL_KEYS)
+KNOWN_KEYS = sorted(_FIELDS)
 
 
 class ParamsError(ValueError):
@@ -42,10 +50,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# type of a field's default -> (parse, format)
+_CODECS = {float: (float, repr), int: (int, str),
+           bool: (_parse_bool, lambda value: "true" if value else "false")}
+
+
 def parse_params(text: str) -> ModelParams:
     weight_kw: dict[str, float] = {}
-    param_kw: dict[str, float | bool | int] = {}
-    seen: set[str] = set()
+    param_kw: dict[str, float | int | bool] = {}
+    params = ModelParams()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -55,33 +68,18 @@ def parse_params(text: str) -> ModelParams:
             raise ParamsError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key in seen:
+        if key not in _FIELDS:
+            raise ParamsError(f"line {lineno}: unknown key {key!r}")
+        name = _FIELDS[key]
+        owner_kw = weight_kw if name in _WEIGHT_DEFAULTS else param_kw
+        if name in owner_kw:
             raise ParamsError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
         try:
-            if key in _FLOAT_KEYS:
-                group, field = _FLOAT_KEYS[key]
-                target = weight_kw if group == "weights" else param_kw
-                target[field] = float(value)
-            elif key in _INT_KEYS:
-                leaf_size = int(value)
-                if leaf_size < 1:
-                    raise ValueError("must be >= 1")
-                param_kw["leaf_size"] = leaf_size
-            elif key in _BOOL_KEYS:
-                param_kw["smoothing_enabled"] = _parse_bool(value)
-            else:
-                raise ParamsError(f"line {lineno}: unknown key {key!r}")
-        except ParamsError:
-            raise
+            owner_kw[name] = _CODECS[type(_DEFAULTS[name])][0](value.strip())
+            params = ModelParams(FeatureWeights(**weight_kw), **param_kw)
         except ValueError as exc:
             raise ParamsError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-
-    try:
-        return ModelParams(weights=FeatureWeights(**weight_kw), **param_kw)
-    except ValueError as exc:
-        raise ParamsError(str(exc)) from exc
+    return params
 
 
 def load_params(path: str) -> ModelParams:
@@ -90,11 +88,9 @@ def load_params(path: str) -> ModelParams:
 
 
 def format_params(p: ModelParams) -> str:
-    pairs = [(key, repr(getattr(p.weights if group else p, name)))
-             for key, (group, name) in _FLOAT_KEYS.items()]
-    pairs += [("leaf_size", str(p.leaf_size)),
-              ("smoothing.enabled", "true" if p.smoothing_enabled else "false")]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    values = {**vars(p.weights), **vars(p)}
+    return "".join(f"{key} = {_CODECS[type(_DEFAULTS[name])][1](values[name])}\n"
+                   for key, name in _FIELDS.items())
 
 
 def save_params(path: str, params: ModelParams) -> None:

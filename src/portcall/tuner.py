@@ -14,7 +14,7 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,11 +24,6 @@ from .evaluation import score_dataset
 from .routes import Route
 
 PENALTY_MAX = 10.0
-
-GENE_NAMES = ("m_x", "m_y", "m_z", "m_sin", "m_cos",
-              "p_course", "p_heading", "p_speed", "p_dist")
-GENE_LOW = np.array([0.0] * 9)
-GENE_HIGH = np.array([1.0] * 5 + [PENALTY_MAX] * 4)
 
 # one full day of arrival error zeroes out the Query 2 term
 MAE_CEILING_MINUTES = 1440.0
@@ -42,6 +37,9 @@ ELITE_COUNT = 2
 
 @dataclass(frozen=True)
 class Genome:
+    """The FeatureWeights magnitudes, then the ModelParams penalties, each
+    gene named after the field it sets."""
+
     m_x: float
     m_y: float
     m_z: float
@@ -59,22 +57,23 @@ class Genome:
     @classmethod
     def default(cls) -> "Genome":
         """The untuned starting point: embedding and classifier defaults."""
-        w = FeatureWeights()
         p = ModelParams()
-        return cls(w.m_x, w.m_y, w.m_z, w.m_sin, w.m_cos,
-                   p.p_course, p.p_heading, p.p_speed, p.p_dist)
+        values = {**vars(p.weights), **vars(p)}
+        return cls(*(values[name] for name in GENE_NAMES))
 
     def as_array(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in GENE_NAMES])
 
     def to_params(self) -> ModelParams:
-        return ModelParams(
-            weights=FeatureWeights(self.m_x, self.m_y, self.m_z, self.m_sin, self.m_cos),
-            p_course=self.p_course,
-            p_heading=self.p_heading,
-            p_speed=self.p_speed,
-            p_dist=self.p_dist,
-        )
+        genes = {name: getattr(self, name) for name in GENE_NAMES}
+        weights = {name: genes.pop(name) for name in GENE_NAMES[:N_WEIGHT_GENES]}
+        return ModelParams(FeatureWeights(**weights), **genes)
+
+
+GENE_NAMES = tuple(f.name for f in fields(Genome))
+N_WEIGHT_GENES = len(fields(FeatureWeights))
+GENE_LOW = np.zeros(len(GENE_NAMES))
+GENE_HIGH = np.array([1.0] * N_WEIGHT_GENES + [PENALTY_MAX] * (len(GENE_NAMES) - N_WEIGHT_GENES))
 
 
 @dataclass(frozen=True)
@@ -88,6 +87,8 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.population <= ELITE_COUNT:
             raise ValueError(f"population must be > {ELITE_COUNT}, the elite count")
+        if self.generations < 0 or self.seed < 0:
+            raise ValueError("generations and seed must be >= 0")
         if not 0.0 <= self.split_fraction <= 1.0:
             raise ValueError("split_fraction must be in [0, 1]")
 
@@ -132,8 +133,10 @@ def evolve(routes: list[Route], cfg: GaConfig,
     """Run the GA and return the best genome ever seen plus the history.
 
     Generation 0 is the initial population: uniform-random genomes plus one
-    individual at the untuned defaults. Elites carry over unchanged, so the
-    per-generation best never decreases.
+    individual at the untuned defaults. Elites carry over unchanged, ordered
+    by (-fitness, index), so the best so far sits at index 0 of every
+    population and argmax only leaves it for a strictly better child: the
+    last population's argmax is the best genome ever seen.
     """
     train_part, val_part = split_routes(routes, cfg.split_fraction, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -161,9 +164,6 @@ def evolve(routes: list[Route], cfg: GaConfig,
         return best
 
     fits = evaluate(population)
-    best_idx = int(np.argmax(fits))
-    best_genome = population[best_idx].copy()
-    best_fit = fits[best_idx]
     history = [GenerationStat(0, max(fits), float(np.mean(fits)))]
 
     for gen in range(1, cfg.generations + 1):
@@ -184,13 +184,9 @@ def evolve(routes: list[Route], cfg: GaConfig,
 
         population = next_pop
         fits = evaluate(population)
-        gen_best = int(np.argmax(fits))
-        if fits[gen_best] > best_fit:
-            best_fit = fits[gen_best]
-            best_genome = population[gen_best].copy()
         history.append(GenerationStat(gen, max(fits), float(np.mean(fits))))
 
-    return Genome.from_array(best_genome), history
+    return Genome.from_array(population[int(np.argmax(fits))]), history
 
 
 def history_csv(history: list[GenerationStat]) -> str:

@@ -200,6 +200,52 @@ def test_corruption_sweep_reports_each_row_and_keeps_output(tmp_path, capsys,
     assert got.out == expected_out
 
 
+def test_unreadable_row_is_one_warning_and_keeps_output(tmp_path, capsys, canonical_evaluate):
+    canonical_csv, expected_out = canonical_evaluate
+    clean = tmp_path / "clean.csv"
+    clean.write_text(canonical_csv)
+    header, *rows = canonical_csv.splitlines()
+    oversized = rows[10].split(",")
+    oversized[0] = "X" * 140_000  # longer than csv.field_size_limit()
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("\n".join([header, *rows[:20], ",".join(oversized), *rows[20:]]) + "\n")
+
+    assert main(["evaluate", "--train", str(clean), "--test", str(dirty),
+                 "--threads", "2"]) == 0
+    got = capsys.readouterr()
+    # line 1 is the header, so the 21st data row sits on line 22
+    assert got.err.splitlines() == [
+        f"warning: {dirty}:22: field larger than field limit (131072)"]
+    assert got.out == expected_out
+
+
+def test_non_finite_params_value_exit_1(tmp_path, tiny_train, capsys):
+    params = tmp_path / "nan.params"
+    params.write_text("penalty.course = nan\n")
+    assert main(["evaluate", "--train", str(tiny_train), "--test", str(tiny_train),
+                 "--params", str(params)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {params}: line 1: bad value for 'penalty.course'")
+
+
+@pytest.mark.parametrize("argv", [
+    "bench --train {train} --queries 0",
+    "bench --train {train} --queries -5",
+    "bench --train {train} --seed -1",
+    "tune --train {train} --generations -3 --out {out}",
+    "tune --train {train} --population 2 --out {out}",
+    "tune --train {train} --seed -1 --out {out}",
+    "gen --ports 1 --out {out}",
+    "gen --seed -1 --out {out}",
+])
+def test_bad_numeric_argument_exit_1(tmp_path, tiny_train, capsys, argv):
+    assert main(argv.format(train=tiny_train, out=tmp_path / "out").split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_predict_rows_in_input_order(tmp_path, tiny_train, capsys):
     query = tmp_path / "q.csv"
     lines = [HEADER]

@@ -217,6 +217,8 @@ def test_synthetic_config_validation():
         SyntheticConfig(n_ports=1)
     with pytest.raises(ValueError):
         SyntheticConfig(points_min=10, points_max=5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SyntheticConfig(seed=-1)
 
 
 def test_scoring_an_unlabeled_route_rejected(canonical_routes):

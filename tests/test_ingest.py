@@ -14,6 +14,7 @@ from portcall.ingest import (
     AisRecord,
     RowError,
     format_timestamp,
+    load_ais_csv,
     parse_ais_csv,
     parse_timestamp,
     records_to_csv,
@@ -161,6 +162,43 @@ def test_field_with_line_break_rejected(column, brk):
     records, errors = parse_ais_csv(f"{HEADER}\n{','.join(fields)}\n", labeled=True)
     assert records == []
     assert errors == [RowError(2, "field contains a line break")]
+
+
+OVERSIZED = "X" * 140_000  # longer than csv.field_size_limit()
+
+
+def test_unreadable_row_is_row_error_on_its_physical_line():
+    oversized = GOOD_LABELED.replace("SHIP_A", OVERSIZED)
+    broken = GOOD_LABELED.replace(",MARSEILLE,", ',"PORT\n_02",')
+    rows = [GOOD_LABELED, broken, oversized, GOOD_LABELED, GOOD_LABELED.replace(",12.5,", ",-1,")]
+    records, errors = parse_ais_csv(HEADER + "\n" + "\n".join(rows) + "\n", labeled=True)
+    # the reader carries on after the oversized field: the next rows keep their lines
+    assert errors == [RowError(3, "field contains a line break"),
+                      RowError(5, "field larger than field limit (131072)"),
+                      RowError(7, "negative speed")]
+    assert records == parse_ais_csv(f"{HEADER}\n{GOOD_LABELED}\n{GOOD_LABELED}\n",
+                                    labeled=True)[0]
+
+
+def test_unreadable_header_is_fatal():
+    with pytest.raises(AisFormatError, match="unreadable header"):
+        parse_ais_csv(f"{OVERSIZED}\n{GOOD_LABELED}\n", labeled=True)
+
+
+@pytest.mark.parametrize("rows, lines", [
+    # an unquoted lone \r ends a row: "SHIP_A" alone is line 3, the rest line 4
+    ([GOOD_LABELED, GOOD_LABELED.replace("SHIP_A,", "SHIP_A\r,")], [3, 4]),
+    # a quoted \r spans lines 3-4, so the negative speed sits on line 6
+    ([GOOD_LABELED, GOOD_LABELED.replace(",MARSEILLE,", ',"PORT\r_02",'), GOOD_LABELED,
+      GOOD_LABELED.replace(",12.5,", ",-1,")], [3, 6]),
+])
+def test_text_and_file_input_agree_on_carriage_returns(tmp_path, rows, lines):
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode("utf-8"))
+    from_text = parse_ais_csv(text, labeled=True)
+    assert from_text == load_ais_csv(str(path), labeled=True)
+    assert [e.line for e in from_text[1]] == lines
 
 
 def test_labeled_requires_arrival_fields():

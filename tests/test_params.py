@@ -97,3 +97,62 @@ def test_format_lists_every_known_key():
     text = format_params(ModelParams())
     present = {line.split("=")[0].strip() for line in text.strip().split("\n")}
     assert present == set(KNOWN_KEYS)
+
+
+def test_format_default_params_is_pinned():
+    assert format_params(ModelParams()) == (
+        "magnitude.x = 1.0\n"
+        "magnitude.y = 1.0\n"
+        "magnitude.z = 1.0\n"
+        "magnitude.bearing_sin = 0.25\n"
+        "magnitude.bearing_cos = 0.25\n"
+        "penalty.course = 1.0\n"
+        "penalty.heading = 1.0\n"
+        "penalty.speed = 1.0\n"
+        "penalty.dist_from_departure = 1.0\n"
+        "norm.speed_knots = 50.0\n"
+        "norm.dist_km = 100.0\n"
+        "leaf_size = 32\n"
+        "smoothing.enabled = true\n"
+    )
+
+
+# values of the right type that the owning object's own check rejects
+BAD_VALUES = {
+    **{f"magnitude.{axis}": "1.5" for axis in ("x", "y", "z", "bearing_sin", "bearing_cos")},
+    **{f"penalty.{name}": "-0.5" for name in ("course", "heading", "speed",
+                                             "dist_from_departure")},
+    "norm.speed_knots": "0",
+    "norm.dist_km": "-1",
+    "leaf_size": "0",
+    "smoothing.enabled": "maybe",
+}
+
+
+@pytest.mark.parametrize("key", KNOWN_KEYS)
+def test_bad_value_for_every_key_names_its_line(key):
+    assert set(BAD_VALUES) == set(KNOWN_KEYS)
+    other = "leaf_size = 8" if key != "leaf_size" else "penalty.speed = 2.0"
+    with pytest.raises(ParamsError, match=f"^line 2: bad value for '{key}': "):
+        parse_params(f"{other}\n{key} = {BAD_VALUES[key]}\n")
+
+
+NON_FINITE_FIELDS = {
+    "p_course": "penalty.course",
+    "p_heading": "penalty.heading",
+    "p_speed": "penalty.speed",
+    "p_dist": "penalty.dist_from_departure",
+    "norm_speed_knots": "norm.speed_knots",
+    "norm_dist_km": "norm.dist_km",
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_FIELDS))
+def test_non_finite_penalty_or_normalizer_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name}=.* must be finite"):
+        ModelParams(**{name: float(value)})
+    key = NON_FINITE_FIELDS[name]
+    with pytest.raises(ParamsError, match=f"^line 2: bad value for '{key}': {name}="):
+        parse_params(f"# tuned\n{key} = {value}\n")
+

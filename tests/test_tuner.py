@@ -6,11 +6,13 @@ import pytest
 from portcall.classifier import ModelParams
 from portcall.embedding import FeatureWeights
 from portcall.ingest import AisRecord
+from portcall.params import format_params, parse_params
 from portcall.routes import enrich_route, partition_routes
 from portcall.tuner import (
     ELITE_COUNT,
     GENE_HIGH,
     GENE_LOW,
+    GENE_NAMES,
     GaConfig,
     Genome,
     evolve,
@@ -51,6 +53,25 @@ def test_default_genome_matches_module_defaults():
 def test_genome_array_round_trip():
     g = Genome(0.1, 0.2, 0.3, 0.4, 0.5, 1.0, 2.0, 3.0, 4.0)
     assert Genome.from_array(g.as_array()) == g
+
+
+def test_default_genome_gives_default_params():
+    assert Genome.default().to_params() == ModelParams()
+
+
+def test_random_genomes_round_trip_through_arrays_and_params_files():
+    assert GENE_NAMES == ("m_x", "m_y", "m_z", "m_sin", "m_cos",
+                          "p_course", "p_heading", "p_speed", "p_dist")
+    rng = np.random.default_rng(0)
+    for _ in range(250):
+        g = Genome.from_array(rng.uniform(GENE_LOW, GENE_HIGH))
+        assert Genome.from_array(g.as_array()) == g
+        params = g.to_params()
+        assert [getattr(params.weights, n) for n in GENE_NAMES[:5]] == list(g.as_array()[:5])
+        assert [getattr(params, n) for n in GENE_NAMES[5:]] == list(g.as_array()[5:])
+        text = format_params(params)
+        assert "np." not in text
+        assert parse_params(text) == params
 
 
 def test_split_routes_deterministic_and_disjoint(canonical_routes):
@@ -167,3 +188,6 @@ def test_ga_config_validation():
         GaConfig(population=ELITE_COUNT)
     with pytest.raises(ValueError):
         GaConfig(split_fraction=1.5)
+    for bad in ({"generations": -1}, {"seed": -1}):
+        with pytest.raises(ValueError, match="generations and seed must be >= 0"):
+            GaConfig(**bad)
