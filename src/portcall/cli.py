@@ -3,7 +3,8 @@
 Subcommands cover the full workflow: ``gen`` writes a synthetic dataset,
 ``evaluate`` scores a model on labeled data, ``predict`` emits per-point
 predictions for an unlabeled stream, ``tune`` searches parameters with the
-genetic algorithm, and ``bench`` times the ball tree against the brute scan.
+genetic algorithm, and ``bench`` checks that the ball tree and the brute scan
+agree on every query, then times both.
 
 Exit codes: 0 success, 1 bad argument, file or parse error, 2 empty dataset. All data
 output is byte-identical for any --threads value; only wall-clock timings
@@ -17,25 +18,21 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
-from typing import TypeVar
+from typing import Iterator
 
 import numpy as np
 
-from .classifier import Model, ModelParams, RouteState, classify_points, embed_points, train
+from .classifier import ModelParams, embed_points, train
 from .embedding import FeatureWeights, embed_arrays
-from .evaluation import SyntheticConfig, gen_synthetic, score_dataset, scores_csv
+from .evaluation import SyntheticConfig, gen_synthetic, replay_route, score_dataset, scores_csv
 from .index import BallTree, brute_nearest
-from .ingest import AisFormatError, format_timestamp, load_ais_csv
+from .ingest import format_timestamp, load_ais_csv
 from .params import load_params, save_params
 from .routes import Route, enrich_route, partition_routes
 from .tuner import GaConfig, evolve, history_csv
 from . import __version__
-
-STRUCTURES = ("balltree", "brute")
-
-T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -46,21 +43,27 @@ class CliError(Exception):
         self.code = code
 
 
+@contextmanager
+def _as_cli_error(path: str | None = None, code: int = 1) -> Iterator[None]:
+    """Turn an OSError or ValueError raised in the block into a CliError with
+    exit ``code``, its message prefixed with ``path`` or else with the
+    OSError's own file name."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        where = path or getattr(exc, "filename", None)
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise CliError(f"{where}: {reason}" if where else str(reason), code) from exc
+
+
 def _load_routes(path: str, labeled: bool) -> list[Route]:
-    try:
+    with _as_cli_error(path):
         records, errors = load_ais_csv(path, labeled=labeled)
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
-    except AisFormatError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-    for err in errors:
-        print(f"warning: {path}:{err.line}: {err.reason}", file=sys.stderr)
-    if not records:
-        raise CliError(f"{path}: no usable records", code=2)
-    try:
+        for err in errors:
+            print(f"warning: {path}:{err.line}: {err.reason}", file=sys.stderr)
+        if not records:
+            raise CliError(f"{path}: no usable records", code=2)
         routes = partition_routes(records, labeled=labeled)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
     for route in routes:
         enrich_route(route)
     return routes
@@ -69,27 +72,8 @@ def _load_routes(path: str, labeled: bool) -> list[Route]:
 def _load_params_file(path: str | None) -> ModelParams:
     if path is None:
         return ModelParams()
-    try:
+    with _as_cli_error(path):
         return load_params(path)
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _train_model(routes: list[Route], params: ModelParams) -> Model:
-    try:
-        return train(routes, params)
-    except ValueError as exc:
-        raise CliError(str(exc), code=2) from exc
-
-
-def _config(cls: type[T], **kwargs: object) -> T:
-    """Build a config dataclass; the ValueError of its own check exits 1."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -100,14 +84,12 @@ def _threads(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _config(SyntheticConfig, n_ports=args.ports, routes_per_port=args.routes_per_port,
-                  seed=args.seed)
+    with _as_cli_error():
+        cfg = SyntheticConfig(n_ports=args.ports, routes_per_port=args.routes_per_port,
+                              seed=args.seed)
     text = gen_synthetic(cfg)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"{args.out}: {exc.strerror or exc}") from exc
+    with _as_cli_error(args.out), open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     n_points = text.count("\n") - 1
     print(f"routes={cfg.n_ports * cfg.routes_per_port} points={n_points} out={args.out}")
     return 0
@@ -119,7 +101,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         params = replace(params, smoothing_enabled=False)
     train_routes = _load_routes(args.train, labeled=True)
     test_routes = _load_routes(args.test, labeled=True)
-    model = _train_model(train_routes, params)
+    with _as_cli_error(code=2):
+        model = train(train_routes, params)
     scores = score_dataset(model, test_routes, workers=_threads(args))
     sys.stdout.write(scores_csv(scores))
     print(f"earliness={scores.avg_earliness!r} mae_minutes={scores.mae_minutes!r}")
@@ -130,31 +113,30 @@ def cmd_predict(args: argparse.Namespace) -> int:
     params = _load_params_file(args.params)
     train_routes = _load_routes(args.train, labeled=True)
     query_routes = _load_routes(args.query, labeled=False)
-    model = _train_model(train_routes, params)
+    with _as_cli_error(code=2):
+        model = train(train_routes, params)
 
     print("route_key,seq,predicted_port,predicted_arrival,raw_port")
     for route in query_routes:
-        preds = classify_points(model, RouteState(), route.points)
-        for seq, pred in enumerate(preds):
+        for seq, pred in enumerate(replay_route(model, route)):
             arrival = format_timestamp(pred.arrival)
             print(f"{route.route_id},{seq},{pred.port},{arrival},{pred.raw_port}")
     return 0
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    cfg = _config(GaConfig, population=args.population, generations=args.generations,
-                  seed=args.seed)
+    with _as_cli_error():
+        cfg = GaConfig(population=args.population, generations=args.generations,
+                       seed=args.seed)
     routes = _load_routes(args.train, labeled=True)
     if len(routes) < 2:
         raise CliError("need at least 2 labeled routes to tune", code=2)
     best, history = evolve(routes, cfg, workers=_threads(args))
-    try:
+    history_path = args.history or args.out + ".history.csv"
+    with _as_cli_error():
         save_params(args.out, best.to_params())
-        history_path = args.history or args.out + ".history.csv"
         with open(history_path, "w", encoding="utf-8") as fh:
             fh.write(history_csv(history))
-    except OSError as exc:
-        raise CliError(f"{exc.filename}: {exc.strerror or exc}") from exc
     print(f"generations={history[-1].generation} best_fitness={history[-1].best_fitness!r} "
           f"params={args.out} history={history_path}")
     return 0
@@ -176,27 +158,23 @@ def _bench_queries(n: int, seed: int) -> np.ndarray:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.queries < 1 or args.seed < 0:
         raise CliError("--queries must be >= 1 and --seed >= 0")
-    structures = args.structure or list(STRUCTURES)
     routes = _load_routes(args.train, labeled=True)
     pts, ids = _bench_points(routes)
     queries = _bench_queries(args.queries, args.seed)
 
-    built, build_s = {}, {}
-    for name in dict.fromkeys(structures):
-        t0 = time.perf_counter()
-        if name == "balltree":
-            built[name] = BallTree(pts, ids=ids).nearest
-        else:
-            built[name] = partial(brute_nearest, pts.copy(), ids=ids.copy())
-        build_s[name] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    tree_nearest = BallTree(pts, ids=ids).nearest
+    t1 = time.perf_counter()
+    brute_pts, brute_ids = pts.copy(), ids.copy()
+    build_s = {"balltree": t1 - t0, "brute": time.perf_counter() - t1}
+    built = {"balltree": tree_nearest,
+             "brute": lambda q: brute_nearest(brute_pts, q, ids=brute_ids)}
 
-    # correctness gate: every structure must agree before any timing prints
+    # correctness gate: both structures must agree before any timing prints
     for q in queries:
-        answers = [nearest(q) for nearest in built.values()]
-        ref_id, ref_d = answers[0]
-        for got_id, got_d in answers[1:]:
-            if got_id != ref_id or abs(got_d - ref_d) > 1e-9:
-                raise CliError("correctness gate failed: structures disagree")
+        (tree_id, tree_d), (brute_id, brute_d) = [nearest(q) for nearest in built.values()]
+        if tree_id != brute_id or abs(tree_d - brute_d) > 1e-9:
+            raise CliError("correctness gate failed: structures disagree")
     print(f"correctness=ok structures={len(built)} queries={len(queries)} points={len(pts)}")
 
     for name, nearest in built.items():
@@ -249,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time nearest-neighbor structures")
     p.add_argument("--train", required=True)
-    p.add_argument("--structure", action="append", choices=STRUCTURES,
-                   help="repeatable; default: all structures")
     p.add_argument("--queries", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -8,13 +8,15 @@ Training ("labeled") files carry ARRIVAL_TIME and ARRIVAL_PORT; query files
 use the same header with those two columns empty. Timestamps are UTC:
 zero-padded ``YYYY-MM-DDTHH:MM:SS`` (the fast path), the same fields
 unpadded as ``strptime`` reads them (``2018-1-1T1:2:3``), or an integer
-epoch-seconds literal as ``int()`` reads it (``+86400``, ``1_000``).
+epoch-seconds literal as ``int()`` reads it (``+86400``, ``1_000``) that
+falls in years 1-9999, the range ``format_timestamp`` prints.
 Near-ISO forms are rejected: fractions, a space for the ``T``, zone
 suffixes, ``20180101T000000`` and out-of-range fields (``T24:00:00``).
 A heading of 511 means "unavailable" per the AIS standard and is mapped to
 missing. Every numeric field must be finite: ``nan`` and ``inf`` are
 rejected. A field that contains a comma or a line break is a row error, and
-so is a row the CSV reader cannot read (a field over ``csv.field_size_limit()``).
+so is a row the CSV reader cannot read: a field over ``csv.field_size_limit()``,
+or text after a closing quote (``"abc"def``).
 Malformed rows are collected as RowError values, never silently dropped.
 """
 
@@ -85,12 +87,17 @@ class AisRecord:
 # through to strptime.
 _ISO_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
 
+# the epochs of 0001-01-01T00:00:00 and 9999-12-31T23:59:59, the range
+# format_timestamp can print; an ISO form cannot leave it
+EPOCH_MIN, EPOCH_MAX = -62135596800, 253402300799
+
 
 def parse_timestamp(text: str) -> int:
     """Parse ``YYYY-MM-DDTHH:MM:SS`` (UTC) or an epoch-seconds literal.
 
     The date-time may be zero-padded or not (``2018-1-1T1:2:3``), as
-    ``strptime`` reads it; the literal is anything ``int()`` reads.
+    ``strptime`` reads it; the literal is anything ``int()`` reads that falls
+    in years 1-9999.
     """
     text = text.strip()
     if _ISO_SHAPE.fullmatch(text):
@@ -100,9 +107,13 @@ def parse_timestamp(text: str) -> int:
             pass
     else:
         try:
-            return int(text)
+            epoch = int(text)
         except ValueError:
             pass
+        else:
+            if not EPOCH_MIN <= epoch <= EPOCH_MAX:
+                raise ValueError("timestamp out of range")
+            return epoch
     try:
         dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
     except ValueError:
@@ -112,7 +123,9 @@ def parse_timestamp(text: str) -> int:
 
 def format_timestamp(epoch_s: int) -> str:
     """Inverse of parse_timestamp; canonical ISO-8601 without zone suffix."""
-    return datetime.fromtimestamp(epoch_s, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    # isoformat zero-pads years before 1000, which strftime's %Y does not with glibc
+    dt = datetime.fromtimestamp(epoch_s, tz=timezone.utc).replace(tzinfo=None)
+    return dt.isoformat(timespec="seconds")
 
 
 def _float(field: str, name: str) -> float:
@@ -133,6 +146,13 @@ def _opt_float(field: str, name: str, minimum: float | None = None) -> float | N
 
 def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> AisRecord:
     """One data row to a record; ``arrivals`` caches parsed arrival times."""
+    if len(fields) != len(AIS_HEADER):
+        raise ValueError(f"expected {len(AIS_HEADER)} fields, got {len(fields)}")
+    joined = "".join(fields)
+    if "," in joined:
+        raise ValueError("field contains a comma")
+    if "\n" in joined or "\r" in joined:
+        raise ValueError("field contains a line break")
     (ship_id, ship_type, speed, lon, lat, course, heading, timestamp,
      departure_port, draught, arrival_time, arrival_port) = [f.strip() for f in fields]
 
@@ -211,7 +231,8 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
     if isinstance(stream, str):
         # newline="" as for a file, so a lone \r splits rows the same way
         stream = io.StringIO(stream, newline="")
-    reader = csv.reader(stream)
+    # strict: text after a closing quote is an error, not joined onto the field
+    reader = csv.reader(stream, strict=True)
     try:
         header = next(reader)
     except StopIteration:
@@ -228,23 +249,11 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
     for fields in _rows(reader):
         # a quoted field may span lines: a row starts on the line after the last one read
         line_no, last_line = last_line + 1, reader.line_num
-        if isinstance(fields, csv.Error):
-            errors.append(RowError(line_no, str(fields)))
-            continue
-        if not fields:
-            continue
-        if len(fields) != len(AIS_HEADER):
-            errors.append(RowError(line_no, f"expected {len(AIS_HEADER)} fields, got {len(fields)}"))
-            continue
-        joined = "".join(fields)
-        if "," in joined:
-            errors.append(RowError(line_no, "field contains a comma"))
-            continue
-        if "\n" in joined or "\r" in joined:
-            errors.append(RowError(line_no, "field contains a line break"))
-            continue
         try:
-            records.append(_parse_row(fields, labeled, arrivals))
+            if isinstance(fields, csv.Error):
+                raise ValueError(str(fields))
+            if fields:
+                records.append(_parse_row(fields, labeled, arrivals))
         except ValueError as exc:
             errors.append(RowError(line_no, str(exc)))
     return records, errors

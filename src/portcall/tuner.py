@@ -15,6 +15,7 @@ worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import isfinite
 
 import numpy as np
 
@@ -91,6 +92,9 @@ class GaConfig:
             raise ValueError("generations and seed must be >= 0")
         if not 0.0 <= self.split_fraction <= 1.0:
             raise ValueError("split_fraction must be in [0, 1]")
+        # nan makes every fitness nan; a negative weight rewards arrival error
+        if not (isfinite(self.fitness_lambda) and self.fitness_lambda >= 0):
+            raise ValueError(f"fitness_lambda={self.fitness_lambda} must be finite and >= 0")
 
 
 def fitness(genome: Genome, train_routes: list[Route], val_routes: list[Route],

@@ -163,8 +163,7 @@ def test_criterion_8_ball_tree_beats_brute(capsys, tmp_path):
         assert n_points >= 100_000
 
         assert main(["bench", "--train", str(big), "--queries", "150",
-                     "--seed", "7", "--structure", "balltree",
-                     "--structure", "brute"]) == 0
+                     "--seed", "7"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("correctness=ok")
         latency = {}

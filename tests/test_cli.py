@@ -246,6 +246,77 @@ def test_bad_numeric_argument_exit_1(tmp_path, tiny_train, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+# (argv, exit code, stderr): every way a command fails; each {name} is a path
+# from failure_paths, and {out} sits in a directory that does not exist
+FAILURES = [
+    ("evaluate --train {missing} --test {train}", 1,
+     "error: {missing}: No such file or directory"),
+    ("evaluate --train {dir} --test {train}", 1, "error: {dir}: Is a directory"),
+    ("evaluate --train {empty} --test {train}", 2, "error: {empty}: no usable records"),
+    ("evaluate --train {bad_header} --test {train}", 1,
+     "error: {bad_header}: unexpected header ['WHAT', 'EVER']; expected " + repr(AIS_HEADER)),
+    ("evaluate --train {conflict} --test {train}", 1,
+     "error: {conflict}: route T1:ALFA:14400 has conflicting arrival ports "
+     "['ELSEWHERE', 'PORTA']"),
+    ("evaluate --train {latin1} --test {train}", 1,
+     "error: {latin1}: 'utf-8' codec can't decode byte 0xe9 in position "
+     f"{len(HEADER) + 2}: invalid continuation byte"),
+    ("predict --train {train} --query {train} --params {bad_value}", 1,
+     "error: {bad_value}: line 1: bad value for 'penalty.course': "
+     "p_course=nan must be finite and >= 0"),
+    ("predict --train {train} --query {train} --params {unknown_key}", 1,
+     "error: {unknown_key}: line 2: unknown key 'penalty.curse'"),
+    ("predict --train {train} --query {train} --params {missing}", 1,
+     "error: {missing}: No such file or directory"),
+    ("evaluate --train {train} --test {train} --params {latin1_params}", 1,
+     "error: {latin1_params}: 'utf-8' codec can't decode byte 0xe9 in position 16: "
+     "invalid continuation byte"),
+    ("evaluate --train {train} --test {train} --threads 0", 1,
+     "error: --threads must be >= 1"),
+    ("gen --ports 3 --routes-per-port 1 --out {out}", 1,
+     "error: {out}: No such file or directory"),
+    ("tune --train {train} --generations 0 --population 3 --out {out}", 1,
+     "error: {out}: No such file or directory"),
+    ("tune --train {train} --generations 0 --population 3 --out {params} --history {out}", 1,
+     "error: {out}: No such file or directory"),
+    ("gen --ports 1 --out {out}", 1, "error: need at least 2 ports and 1 route per port"),
+    ("tune --train {train} --population 2 --out {out}", 1,
+     "error: population must be > 2, the elite count"),
+    ("bench --train {train} --queries 0", 1, "error: --queries must be >= 1 and --seed >= 0"),
+]
+
+
+@pytest.fixture
+def failure_paths(tmp_path, tiny_train):
+    header, first, *rows = tiny_train.read_text().splitlines()
+    conflict = first.split(",")
+    conflict[-1] = "ELSEWHERE"
+    files = {
+        "empty": HEADER + "\n",
+        "bad_header": "WHAT,EVER\n1,2\n",
+        "conflict": "\n".join([header, first, ",".join(conflict), *rows]) + "\n",
+        "latin1": "\n".join([header, "T\u00e9", *rows]) + "\n",
+        "bad_value": "penalty.course = nan\n",
+        "unknown_key": "leaf_size = 8\npenalty.curse = 1.0\n",
+        "latin1_params": "leaf_size = 8\n# \u00e9t\u00e9\n",
+    }
+    paths = {"train": tiny_train, "dir": tmp_path, "missing": tmp_path / "nope.csv",
+             "out": tmp_path / "no_dir" / "out", "params": tmp_path / "tuned.params"}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(text.encode("latin-1" if name.startswith("latin1") else "utf-8"))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv,code,err", FAILURES, ids=[f[0].split()[0] + f"-{i}"
+                                                         for i, f in enumerate(FAILURES)])
+def test_failure_exit_code_and_message(failure_paths, capsys, argv, code, err):
+    assert main(argv.format(**failure_paths).split()) == code
+    got = capsys.readouterr()
+    assert got.err == err.format(**failure_paths) + "\n"
+    assert got.out == ""
+
+
 def test_predict_rows_in_input_order(tmp_path, tiny_train, capsys):
     query = tmp_path / "q.csv"
     lines = [HEADER]
@@ -264,6 +335,21 @@ def test_predict_rows_in_input_order(tmp_path, tiny_train, capsys):
     seqs = [int(line.split(",")[1]) for line in out[1:]]
     assert seqs == [0, 1, 2]
     assert all(line.split(",")[2] == "PORTA" for line in out[1:])
+
+
+@pytest.mark.parametrize("epoch", ["99999999999999", "-99999999999"])
+def test_predict_warns_on_timestamp_outside_printable_years(tmp_path, tiny_train, capsys,
+                                                            epoch):
+    query = tmp_path / "q.csv"
+    lines = [HEADER] + [f"QS,70,10.0,0.01,{lat},0.0,,{ts},ALFA,,,"
+                        for lat, ts in [(0.0, "0"), (1.0, epoch), (1.0, "3600")]]
+    query.write_text("\n".join(lines) + "\n")
+
+    assert main(["predict", "--train", str(tiny_train), "--query", str(query)]) == 0
+    got = capsys.readouterr()
+    assert got.err == f"warning: {query}:3: timestamp out of range\n"
+    rows = [line.split(",") for line in got.out.splitlines()[1:]]
+    assert [(r[1], r[2]) for r in rows] == [("0", "PORTA"), ("1", "PORTA")]
 
 
 def test_predict_exact_training_point(tmp_path, tiny_train, capsys):
@@ -332,14 +418,6 @@ def test_bench_gate_and_report(tmp_path, tiny_train, capsys):
         fields = dict(part.split("=") for part in line.split())
         assert float(fields["build_seconds"]) >= 0.0
         assert float(fields["mean_query_seconds"]) > 0.0
-
-
-def test_bench_single_structure(tiny_train, capsys):
-    assert main(["bench", "--train", str(tiny_train), "--queries", "5",
-                 "--seed", "1", "--structure", "brute"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    assert lines[1].startswith("structure=brute")
 
 
 def test_unknown_command_rejected():

@@ -9,6 +9,8 @@ import pytest
 from portcall.geo import normalize_lon
 from portcall.ingest import (
     AIS_HEADER,
+    EPOCH_MAX,
+    EPOCH_MIN,
     HEADING_UNAVAILABLE,
     AisFormatError,
     AisRecord,
@@ -42,6 +44,8 @@ def test_parse_timestamp_formats():
     ("+86400", 86400),
     ("1_000", 1000),
     (" 2018-03-01T10:00:00 ", 1519898400),
+    ("-62135596800", EPOCH_MIN),  # 0001-01-01T00:00:00
+    ("253402300799", EPOCH_MAX),  # 9999-12-31T23:59:59
 ])
 def test_parse_timestamp_accepted_forms(text, epoch):
     assert parse_timestamp(text) == epoch
@@ -63,8 +67,15 @@ def test_parse_timestamp_rejected_forms(text):
         parse_timestamp(text)
 
 
+@pytest.mark.parametrize("text", [str(EPOCH_MIN - 1), str(EPOCH_MAX + 1),
+                                  "99999999999999", "-99999999999"])
+def test_epoch_literal_outside_printable_years_rejected(text):
+    with pytest.raises(ValueError, match="^timestamp out of range$"):
+        parse_timestamp(text)
+
+
 def test_format_timestamp_round_trip():
-    for epoch in (0, 86400, 1519898400, 2000000000):
+    for epoch in (EPOCH_MIN, 0, 86400, 1519898400, 2000000000, EPOCH_MAX):
         assert parse_timestamp(format_timestamp(epoch)) == epoch
 
 
@@ -164,6 +175,29 @@ def test_field_with_line_break_rejected(column, brk):
     assert errors == [RowError(2, "field contains a line break")]
 
 
+@pytest.mark.parametrize("column, field, outcome", [
+    # text after a closing quote: the strict reader rejects the row
+    ("SHIP_ID", '"abc"def', RowError(3, "',' expected after '\"'")),
+    ("ARRIVAL_PORT", '"GENOVA" ', RowError(3, "',' expected after '\"'")),
+    # a quote inside an unquoted field and a doubled quote are read as text
+    ("SHIP_ID", 'ab"c', 'ab"c'),
+    ("SHIP_ID", '"a""b"', 'a"b'),
+    ("SHIP_ID", '"a,b"', RowError(3, "field contains a comma")),
+    ("DEPARTURE_PORT_NAME", '"A\nB"', RowError(3, "field contains a line break")),
+])
+def test_quoting_between_good_rows(column, field, outcome):
+    fields = GOOD_LABELED.split(",")
+    fields[AIS_HEADER.index(column)] = field
+    rows = [GOOD_LABELED, ",".join(fields), GOOD_LABELED]
+    records, errors = parse_ais_csv(HEADER + "\n" + "\n".join(rows) + "\n", labeled=True)
+    if isinstance(outcome, RowError):
+        assert errors == [outcome]
+        assert records == parse_ais_csv(f"{HEADER}\n{GOOD_LABELED}\n", labeled=True)[0] * 2
+    else:
+        assert errors == []
+        assert [r.ship_id for r in records] == ["SHIP_A", outcome, "SHIP_A"]
+
+
 OVERSIZED = "X" * 140_000  # longer than csv.field_size_limit()
 
 
@@ -246,9 +280,13 @@ def test_synthetic_round_trip(canonical_records):
 def oracle_parse_timestamp(text: str) -> int:
     text = text.strip()
     try:
-        return int(text)
+        epoch = int(text)
     except ValueError:
         pass
+    else:
+        if not -62135596800 <= epoch <= 253402300799:  # years 1-9999
+            raise ValueError("timestamp out of range")
+        return epoch
     try:
         dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
     except ValueError:
@@ -353,6 +391,7 @@ TIMESTAMP_MUTATIONS = [
     lambda v, rng: "",
     lambda v, rng: "0000-01-01T00:00:00",
     lambda v, rng: "9999-12-31T23:59:59",
+    lambda v, rng: "253402300800",  # one second past 9999-12-31T23:59:59
 ]
 
 NUMBER_MUTATIONS = [

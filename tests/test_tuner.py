@@ -191,3 +191,9 @@ def test_ga_config_validation():
     for bad in ({"generations": -1}, {"seed": -1}):
         with pytest.raises(ValueError, match="generations and seed must be >= 0"):
             GaConfig(**bad)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_ga_config_rejects_bad_fitness_lambda(value):
+    with pytest.raises(ValueError, match=f"fitness_lambda={value} must be finite and >= 0"):
+        GaConfig(fitness_lambda=value)
