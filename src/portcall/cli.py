@@ -116,11 +116,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with _as_cli_error(code=2):
         model = train(train_routes, params)
 
-    print("route_key,seq,predicted_port,predicted_arrival,raw_port")
+    # every row is formatted before any is printed, so a failure prints no partial table
+    rows = ["route_key,seq,predicted_port,predicted_arrival,raw_port\n"]
     for route in query_routes:
         for seq, pred in enumerate(replay_route(model, route)):
-            arrival = format_timestamp(pred.arrival)
-            print(f"{route.route_id},{seq},{pred.port},{arrival},{pred.raw_port}")
+            with _as_cli_error(f"{args.query}: route {route.route_id} seq {seq}"):
+                arrival = format_timestamp(pred.arrival)
+            rows.append(f"{route.route_id},{seq},{pred.port},{arrival},{pred.raw_port}\n")
+    sys.stdout.write("".join(rows))
     return 0
 
 
@@ -133,10 +136,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise CliError("need at least 2 labeled routes to tune", code=2)
     best, history = evolve(routes, cfg, workers=_threads(args))
     history_path = args.history or args.out + ".history.csv"
+    # history first: when it cannot be written, the parameter file is left as it was
     with _as_cli_error():
-        save_params(args.out, best.to_params())
         with open(history_path, "w", encoding="utf-8") as fh:
             fh.write(history_csv(history))
+        save_params(args.out, best.to_params())
     print(f"generations={history[-1].generation} best_fitness={history[-1].best_fitness!r} "
           f"params={args.out} history={history_path}")
     return 0

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from .geo import normalize_lon
 
@@ -122,7 +122,10 @@ def parse_timestamp(text: str) -> int:
 
 
 def format_timestamp(epoch_s: int) -> str:
-    """Inverse of parse_timestamp; canonical ISO-8601 without zone suffix."""
+    """Inverse of parse_timestamp; canonical ISO-8601 without zone suffix.
+    Raises ValueError outside years 1-9999, the range parse_timestamp accepts."""
+    if not EPOCH_MIN <= epoch_s <= EPOCH_MAX:
+        raise ValueError("timestamp out of range")
     # isoformat zero-pads years before 1000, which strftime's %Y does not with glibc
     dt = datetime.fromtimestamp(epoch_s, tz=timezone.utc).replace(tzinfo=None)
     return dt.isoformat(timespec="seconds")
@@ -201,18 +204,6 @@ def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> Ai
                      departure_port.upper(), draught_f, arrival_ts, arrival_p)
 
 
-def _rows(reader: Iterator[list[str]]) -> Iterator[list[str] | csv.Error]:
-    """Each row, or the csv.Error raised in its place; the reader carries on
-    with the next line."""
-    while True:
-        try:
-            yield next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            yield exc
-
-
 def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord], list[RowError]]:
     """Parse an AIS CSV stream into records plus per-row errors.
 
@@ -245,16 +236,17 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
     records: list[AisRecord] = []
     errors: list[RowError] = []
     arrivals: dict[str, int] = {}
-    last_line = reader.line_num
-    for fields in _rows(reader):
+    while True:
         # a quoted field may span lines: a row starts on the line after the last one read
-        line_no, last_line = last_line + 1, reader.line_num
+        line_no = reader.line_num + 1
         try:
-            if isinstance(fields, csv.Error):
-                raise ValueError(str(fields))
+            fields = next(reader, None)
+            if fields is None:
+                break
             if fields:
                 records.append(_parse_row(fields, labeled, arrivals))
-        except ValueError as exc:
+        except (csv.Error, ValueError) as exc:
+            # the reader carries on with the next line after a csv.Error
             errors.append(RowError(line_no, str(exc)))
     return records, errors
 

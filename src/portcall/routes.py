@@ -11,6 +11,7 @@ labeled data) the remaining time to arrival.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, groupby
 
 from .geo import great_circle_km, initial_bearing_deg
 from .ingest import AisRecord
@@ -56,9 +57,10 @@ def partition_routes(records: list[AisRecord], labeled: bool = True) -> list[Rou
     different arrival ports, raises ValueError.
     Unlabeled records group per ship in timestamp order, breaking a segment
     whenever the departure port changes. Every record lands in exactly one
-    route; point ids are assigned sequentially over the returned routes.
+    route; point ids run 0..n-1 over the returned routes in order.
     """
     routes: list[Route] = []
+    point_ids = count()
     if labeled:
         groups: dict[tuple[str, str, int], list[AisRecord]] = {}
         for rec in records:
@@ -72,49 +74,21 @@ def partition_routes(records: list[AisRecord], labeled: bool = True) -> list[Rou
             ports = sorted({r.arrival_port for r in recs})
             if len(ports) > 1:
                 raise ValueError(f"route {route_id} has conflicting arrival ports {ports}")
-            routes.append(Route(
-                route_id=route_id,
-                ship_id=ship_id,
-                departure_port=dep,
-                arrival_port=recs[0].arrival_port,
-                arrival_time=arr_time,
-                points=[],
-            ))
-            routes[-1].points = [RoutePoint(point_id=-1, record=r) for r in recs]
+            routes.append(Route(route_id=route_id, ship_id=ship_id, departure_port=dep,
+                                arrival_port=recs[0].arrival_port, arrival_time=arr_time,
+                                points=[RoutePoint(next(point_ids), r) for r in recs]))
     else:
         by_ship: dict[str, list[AisRecord]] = {}
         for rec in records:
             by_ship.setdefault(rec.ship_id, []).append(rec)
         for ship_id, recs in by_ship.items():
             recs.sort(key=lambda r: r.timestamp)
-            seg_idx = 0
-            current: list[AisRecord] = []
-            for rec in recs:
-                if current and rec.departure_port != current[-1].departure_port:
-                    routes.append(_unlabeled_route(ship_id, seg_idx, current))
-                    seg_idx += 1
-                    current = []
-                current.append(rec)
-            if current:
-                routes.append(_unlabeled_route(ship_id, seg_idx, current))
-
-    next_id = 0
-    for route in routes:
-        for pt in route.points:
-            pt.point_id = next_id
-            next_id += 1
+            segments = groupby(recs, key=lambda r: r.departure_port)
+            for seg_idx, (dep, seg) in enumerate(segments):
+                routes.append(Route(route_id=f"{ship_id}:{dep}:{seg_idx}", ship_id=ship_id,
+                                    departure_port=dep, arrival_port=None, arrival_time=None,
+                                    points=[RoutePoint(next(point_ids), r) for r in seg]))
     return routes
-
-
-def _unlabeled_route(ship_id: str, seg_idx: int, recs: list[AisRecord]) -> Route:
-    return Route(
-        route_id=f"{ship_id}:{recs[0].departure_port}:{seg_idx}",
-        ship_id=ship_id,
-        departure_port=recs[0].departure_port,
-        arrival_port=None,
-        arrival_time=None,
-        points=[RoutePoint(point_id=-1, record=r) for r in recs],
-    )
 
 
 def _fallback_bearing(rec: AisRecord) -> float:

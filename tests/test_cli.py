@@ -247,7 +247,8 @@ def test_bad_numeric_argument_exit_1(tmp_path, tiny_train, capsys, argv):
 
 
 # (argv, exit code, stderr): every way a command fails; each {name} is a path
-# from failure_paths, and {out} sits in a directory that does not exist
+# from failure_paths, {out} sits in a directory that does not exist, {params}
+# exists and {fresh} does not
 FAILURES = [
     ("evaluate --train {missing} --test {train}", 1,
      "error: {missing}: No such file or directory"),
@@ -276,13 +277,18 @@ FAILURES = [
     ("gen --ports 3 --routes-per-port 1 --out {out}", 1,
      "error: {out}: No such file or directory"),
     ("tune --train {train} --generations 0 --population 3 --out {out}", 1,
-     "error: {out}: No such file or directory"),
+     "error: {out}.history.csv: No such file or directory"),
     ("tune --train {train} --generations 0 --population 3 --out {params} --history {out}", 1,
      "error: {out}: No such file or directory"),
     ("gen --ports 1 --out {out}", 1, "error: need at least 2 ports and 1 route per port"),
     ("tune --train {train} --population 2 --out {out}", 1,
      "error: population must be > 2, the elite count"),
     ("bench --train {train} --queries 0", 1, "error: --queries must be >= 1 and --seed >= 0"),
+    # the query fix sits 99 s before the end of year 9999; its predicted arrival lies hours later
+    ("predict --train {train} --query {far_query}", 1,
+     "error: {far_query}: route QS:ALFA:0 seq 0: timestamp out of range"),
+    ("tune --train {train} --generations 0 --population 3 --out {fresh} --history {out}", 1,
+     "error: {out}: No such file or directory"),
 ]
 
 
@@ -299,9 +305,11 @@ def failure_paths(tmp_path, tiny_train):
         "bad_value": "penalty.course = nan\n",
         "unknown_key": "leaf_size = 8\npenalty.curse = 1.0\n",
         "latin1_params": "leaf_size = 8\n# \u00e9t\u00e9\n",
+        "params": "leaf_size = 8\n",
+        "far_query": HEADER + "\nQS,70,10.0,0.01,0.0,0.0,,253402300700,ALFA,,,\n",
     }
     paths = {"train": tiny_train, "dir": tmp_path, "missing": tmp_path / "nope.csv",
-             "out": tmp_path / "no_dir" / "out", "params": tmp_path / "tuned.params"}
+             "out": tmp_path / "no_dir" / "out", "fresh": tmp_path / "fresh.params"}
     for name, text in files.items():
         paths[name] = tmp_path / name
         paths[name].write_bytes(text.encode("latin-1" if name.startswith("latin1") else "utf-8"))
@@ -310,11 +318,14 @@ def failure_paths(tmp_path, tiny_train):
 
 @pytest.mark.parametrize("argv,code,err", FAILURES, ids=[f[0].split()[0] + f"-{i}"
                                                          for i, f in enumerate(FAILURES)])
-def test_failure_exit_code_and_message(failure_paths, capsys, argv, code, err):
+def test_failure_exit_code_and_message(tmp_path, failure_paths, capsys, argv, code, err):
+    files_before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     assert main(argv.format(**failure_paths).split()) == code
     got = capsys.readouterr()
     assert got.err == err.format(**failure_paths) + "\n"
     assert got.out == ""
+    # a failed command creates no file and changes none
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files_before
 
 
 def test_predict_rows_in_input_order(tmp_path, tiny_train, capsys):

@@ -72,6 +72,8 @@ def test_parse_timestamp_rejected_forms(text):
 def test_epoch_literal_outside_printable_years_rejected(text):
     with pytest.raises(ValueError, match="^timestamp out of range$"):
         parse_timestamp(text)
+    with pytest.raises(ValueError, match="^timestamp out of range$"):
+        format_timestamp(int(text))
 
 
 def test_format_timestamp_round_trip():

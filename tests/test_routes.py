@@ -1,10 +1,11 @@
 """Route partitioning and enrichment against a prefix-sum oracle."""
 
+import numpy as np
 import pytest
 
 from portcall.geo import great_circle_km
 from portcall.ingest import AisRecord
-from portcall.routes import enrich_route, partition_routes
+from portcall.routes import Route, RoutePoint, enrich_route, partition_routes
 
 
 def make_record(ship="SHIP_A", lon=0.0, lat=0.0, ts=1000, dep="ALFA",
@@ -127,7 +128,87 @@ def test_monotone_invariants(canonical_routes):
 
 
 def test_enrich_empty_route_rejected():
-    from portcall.routes import Route
     with pytest.raises(ValueError):
         enrich_route(Route(route_id="x", ship_id="s", departure_port="d",
                            arrival_port=None, arrival_time=None, points=[]))
+
+
+# --- reference partitioner: the grouping and numbering of partition_routes as
+# they were when point ids were placeholders renumbered in a last pass, kept as
+# the oracle for the sweep below (its input checks are left out: the sweep's
+# records pass them).
+
+def _oracle_unlabeled_route(ship_id, seg_idx, recs):
+    return Route(route_id=f"{ship_id}:{recs[0].departure_port}:{seg_idx}", ship_id=ship_id,
+                 departure_port=recs[0].departure_port, arrival_port=None, arrival_time=None,
+                 points=[RoutePoint(point_id=-1, record=r) for r in recs])
+
+
+def oracle_partition_routes(records, labeled):
+    routes = []
+    if labeled:
+        groups = {}
+        for rec in records:
+            groups.setdefault((rec.ship_id, rec.departure_port, rec.arrival_time), []).append(rec)
+        for (ship_id, dep, arr_time), recs in groups.items():
+            recs.sort(key=lambda r: r.timestamp)
+            routes.append(Route(route_id=f"{ship_id}:{dep}:{arr_time}", ship_id=ship_id,
+                                departure_port=dep, arrival_port=recs[0].arrival_port,
+                                arrival_time=arr_time, points=[]))
+            routes[-1].points = [RoutePoint(point_id=-1, record=r) for r in recs]
+    else:
+        by_ship = {}
+        for rec in records:
+            by_ship.setdefault(rec.ship_id, []).append(rec)
+        for ship_id, recs in by_ship.items():
+            recs.sort(key=lambda r: r.timestamp)
+            seg_idx = 0
+            current = []
+            for rec in recs:
+                if current and rec.departure_port != current[-1].departure_port:
+                    routes.append(_oracle_unlabeled_route(ship_id, seg_idx, current))
+                    seg_idx += 1
+                    current = []
+                current.append(rec)
+            if current:
+                routes.append(_oracle_unlabeled_route(ship_id, seg_idx, current))
+    next_id = 0
+    for route in routes:
+        for pt in route.points:
+            pt.point_id = next_id
+            next_id += 1
+    return routes
+
+
+def sweep_records(rng, labeled):
+    """Shuffled voyages of a few ships over three departure ports, so ships
+    return to an earlier departure; timesteps of 0 give equal timestamps, and
+    each record's longitude is unique so tie order shows."""
+    records = []
+    for ship in range(int(rng.integers(1, 5))):
+        t = int(rng.integers(0, 3))
+        for voyage in range(int(rng.integers(1, 6))):
+            dep = "ABC"[int(rng.integers(0, 3))]
+            arr_time = (voyage + 1) * 10_000 if labeled else None
+            arr_port = f"P{rng.integers(0, 2)}" if labeled else None
+            for _ in range(int(rng.integers(1, 6))):
+                t += int(rng.integers(0, 3))
+                records.append(make_record(ship=f"S{ship}", lon=float(len(records)), ts=t,
+                                           dep=dep, arr_time=arr_time, arr_port=arr_port))
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+def _shape(routes):
+    return [(r.route_id, r.ship_id, r.departure_port, r.arrival_port, r.arrival_time,
+             [(p.point_id, p.record) for p in r.points]) for r in routes]
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("seed", range(40))
+def test_partition_matches_oracle_sweep(seed, labeled):
+    rng = np.random.default_rng(seed)
+    records = sweep_records(rng, labeled)
+    routes = partition_routes(list(records), labeled=labeled)
+    assert _shape(routes) == _shape(oracle_partition_routes(list(records), labeled))
+    ids = [p.point_id for r in routes for p in r.points]
+    assert ids == list(range(len(records)))
