@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from typing import Iterator
 
@@ -29,7 +29,7 @@ from .embedding import FeatureWeights, embed_arrays
 from .evaluation import SyntheticConfig, gen_synthetic, replay_route, score_dataset, scores_csv
 from .index import BallTree, brute_nearest
 from .ingest import format_timestamp, load_ais_csv
-from .params import load_params, save_params
+from .params import format_params, load_params
 from .routes import Route, enrich_route, partition_routes
 from .tuner import GaConfig, evolve, history_csv
 from . import __version__
@@ -76,6 +76,24 @@ def _load_params_file(path: str | None) -> ModelParams:
         return load_params(path)
 
 
+def _write_files(texts: dict[str, str]) -> None:
+    """Write every file or none: each text goes to ``<path>.tmp`` first, and
+    the temporaries are renamed into place only once all are written."""
+    opened: list[str] = []
+    try:
+        for path, text in texts.items():
+            with _as_cli_error(path), open(path + ".tmp", "w", encoding="utf-8") as fh:
+                opened.append(fh.name)
+                fh.write(text)
+        for path in texts:
+            with _as_cli_error(path):
+                os.replace(path + ".tmp", path)
+    finally:
+        for tmp in opened:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
 def _threads(args: argparse.Namespace) -> int:
     n = args.threads if args.threads is not None else (os.cpu_count() or 1)
     if n < 1:
@@ -88,8 +106,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cfg = SyntheticConfig(n_ports=args.ports, routes_per_port=args.routes_per_port,
                               seed=args.seed)
     text = gen_synthetic(cfg)
-    with _as_cli_error(args.out), open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_files({args.out: text})
     n_points = text.count("\n") - 1
     print(f"routes={cfg.n_ports * cfg.routes_per_port} points={n_points} out={args.out}")
     return 0
@@ -116,14 +133,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with _as_cli_error(code=2):
         model = train(train_routes, params)
 
-    # every row is formatted before any is printed, so a failure prints no partial table
-    rows = ["route_key,seq,predicted_port,predicted_arrival,raw_port\n"]
+    print("route_key,seq,predicted_port,predicted_arrival,raw_port")
     for route in query_routes:
         for seq, pred in enumerate(replay_route(model, route)):
             with _as_cli_error(f"{args.query}: route {route.route_id} seq {seq}"):
                 arrival = format_timestamp(pred.arrival)
-            rows.append(f"{route.route_id},{seq},{pred.port},{arrival},{pred.raw_port}\n")
-    sys.stdout.write("".join(rows))
+            print(f"{route.route_id},{seq},{pred.port},{arrival},{pred.raw_port}")
     return 0
 
 
@@ -136,11 +151,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise CliError("need at least 2 labeled routes to tune", code=2)
     best, history = evolve(routes, cfg, workers=_threads(args))
     history_path = args.history or args.out + ".history.csv"
-    # history first: when it cannot be written, the parameter file is left as it was
-    with _as_cli_error():
-        with open(history_path, "w", encoding="utf-8") as fh:
-            fh.write(history_csv(history))
-        save_params(args.out, best.to_params())
+    _write_files({args.out: format_params(best.to_params()), history_path: history_csv(history)})
     print(f"generations={history[-1].generation} best_fitness={history[-1].best_fitness!r} "
           f"params={args.out} history={history_path}")
     return 0

@@ -245,6 +245,8 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
                 break
             if fields:
                 records.append(_parse_row(fields, labeled, arrivals))
+        except UnicodeDecodeError:
+            raise  # a file that is not UTF-8 is fatal, wherever the bad byte sits
         except (csv.Error, ValueError) as exc:
             # the reader carries on with the next line after a csv.Error
             errors.append(RowError(line_no, str(exc)))

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -277,17 +278,18 @@ FAILURES = [
     ("gen --ports 3 --routes-per-port 1 --out {out}", 1,
      "error: {out}: No such file or directory"),
     ("tune --train {train} --generations 0 --population 3 --out {out}", 1,
-     "error: {out}.history.csv: No such file or directory"),
+     "error: {out}: No such file or directory"),
     ("tune --train {train} --generations 0 --population 3 --out {params} --history {out}", 1,
      "error: {out}: No such file or directory"),
     ("gen --ports 1 --out {out}", 1, "error: need at least 2 ports and 1 route per port"),
     ("tune --train {train} --population 2 --out {out}", 1,
      "error: population must be > 2, the elite count"),
     ("bench --train {train} --queries 0", 1, "error: --queries must be >= 1 and --seed >= 0"),
-    # the query fix sits 99 s before the end of year 9999; its predicted arrival lies hours later
-    ("predict --train {train} --query {far_query}", 1,
-     "error: {far_query}: route QS:ALFA:0 seq 0: timestamp out of range"),
     ("tune --train {train} --generations 0 --population 3 --out {fresh} --history {out}", 1,
+     "error: {out}: No such file or directory"),
+    ("tune --train {train} --generations 0 --population 3 --out {out} --history {fresh}", 1,
+     "error: {out}: No such file or directory"),
+    ("tune --train {train} --generations 0 --population 3 --out {out} --history {params}", 1,
      "error: {out}: No such file or directory"),
 ]
 
@@ -306,7 +308,6 @@ def failure_paths(tmp_path, tiny_train):
         "unknown_key": "leaf_size = 8\npenalty.curse = 1.0\n",
         "latin1_params": "leaf_size = 8\n# \u00e9t\u00e9\n",
         "params": "leaf_size = 8\n",
-        "far_query": HEADER + "\nQS,70,10.0,0.01,0.0,0.0,,253402300700,ALFA,,,\n",
     }
     paths = {"train": tiny_train, "dir": tmp_path, "missing": tmp_path / "nope.csv",
              "out": tmp_path / "no_dir" / "out", "fresh": tmp_path / "fresh.params"}
@@ -326,6 +327,30 @@ def test_failure_exit_code_and_message(tmp_path, failure_paths, capsys, argv, co
     assert got.out == ""
     # a failed command creates no file and changes none
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files_before
+
+
+def test_predict_unprintable_arrival_exit_1(tmp_path, tiny_train, capsys):
+    # the query fix sits 99 s before the end of year 9999; its predicted arrival lies hours later
+    query = tmp_path / "far.csv"
+    query.write_text(HEADER + "\nQS,70,10.0,0.01,0.0,0.0,,253402300700,ALFA,,,\n")
+    assert main(["predict", "--train", str(tiny_train), "--query", str(query)]) == 1
+    got = capsys.readouterr()
+    assert got.err == f"error: {query}: route QS:ALFA:0 seq 0: timestamp out of range\n"
+    # rows stream as they are predicted, so the header is already out
+    assert got.out == "route_key,seq,predicted_port,predicted_arrival,raw_port\n"
+
+
+def test_non_utf8_byte_past_first_read_chunk_exit_1(tmp_path, tiny_train, capsys):
+    header, *rows = tiny_train.read_text().splitlines()
+    path = tmp_path / "latin1_late.csv"
+    text = "\n".join([header, *rows * 40, "T\u00e9", *rows]) + "\n"
+    assert text.index("\u00e9") > 3 * 8192
+    path.write_bytes(text.encode("latin-1"))
+    assert main(["evaluate", "--train", str(path), "--test", str(tiny_train)]) == 1
+    got = capsys.readouterr()
+    assert re.fullmatch(f"error: {re.escape(str(path))}: 'utf-8' codec can't decode byte 0xe9 "
+                        r"in position \d+: invalid continuation byte\n", got.err)
+    assert got.out == ""
 
 
 def test_predict_rows_in_input_order(tmp_path, tiny_train, capsys):

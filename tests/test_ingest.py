@@ -237,6 +237,18 @@ def test_text_and_file_input_agree_on_carriage_returns(tmp_path, rows, lines):
     assert [e.line for e in from_text[1]] == lines
 
 
+def test_non_utf8_byte_past_first_read_chunk_is_fatal(tmp_path):
+    # the file reader decodes 8 KiB at a time; a bad byte in a later chunk must
+    # still stop the parse, not become a row error that drops the chunk's rows
+    rows = [GOOD_LABELED] * 400 + [GOOD_LABELED.replace("SHIP_A", "SHIP_é")]
+    text = HEADER + "\n" + "\n".join(rows + [GOOD_LABELED]) + "\n"
+    assert text.index("é") > 3 * 8192
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xe9"):
+        load_ais_csv(str(path), labeled=True)
+
+
 def test_labeled_requires_arrival_fields():
     records, errors = parse_ais_csv(f"{HEADER}\n{GOOD_UNLABELED}\n", labeled=True)
     assert records == []
