@@ -3,8 +3,8 @@
 Subcommands cover the full workflow: ``gen`` writes a synthetic dataset,
 ``evaluate`` scores a model on labeled data, ``predict`` emits per-point
 predictions for an unlabeled stream, ``tune`` searches parameters with the
-genetic algorithm, and ``bench`` checks that the ball tree and the brute scan
-agree on every query, then times both.
+genetic algorithm, and ``bench`` times one pass each of the ball tree and the
+brute scan over one query set, printing the timings only if all answers agree.
 
 Exit codes: 0 success, 1 bad argument, file or parse error, 2 empty dataset. All data
 output is byte-identical for any --threads value; only wall-clock timings
@@ -15,11 +15,11 @@ invocation, so only the parameter file format is durable.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import time
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -76,20 +76,27 @@ def _load_params_file(path: str | None) -> ModelParams:
         return load_params(path)
 
 
-def _write_files(texts: dict[str, str]) -> None:
-    """Write every file or none: each text goes to ``<path>.tmp`` first, and
-    the temporaries are renamed into place only once all are written."""
-    opened: list[str] = []
+def _write_files(outputs: list[tuple[str, str]]) -> None:
+    """Write every (path, text) output or none: all targets are checked first,
+    each text goes to a new ``<path>.<pid>.tmp``, and the temporaries are
+    renamed into place only once all are written."""
+    for i, (path, _) in enumerate(outputs):
+        if os.path.isdir(path):
+            raise CliError(f"{path}: {os.strerror(errno.EISDIR)}")
+        if os.path.realpath(path) in {os.path.realpath(p) for p, _ in outputs[:i]}:
+            raise CliError(f"{path}: named for two outputs")
+    temps: list[str] = []
     try:
-        for path, text in texts.items():
-            with _as_cli_error(path), open(path + ".tmp", "w", encoding="utf-8") as fh:
-                opened.append(fh.name)
+        for path, text in outputs:
+            with _as_cli_error(path), open(f"{path}.{os.getpid()}.tmp", "x",
+                                           encoding="utf-8") as fh:
+                temps.append(fh.name)
                 fh.write(text)
-        for path in texts:
+        for (path, _), tmp in zip(outputs, temps):
             with _as_cli_error(path):
-                os.replace(path + ".tmp", path)
+                os.replace(tmp, path)
     finally:
-        for tmp in opened:
+        for tmp in temps:
             with suppress(FileNotFoundError):
                 os.remove(tmp)
 
@@ -106,7 +113,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cfg = SyntheticConfig(n_ports=args.ports, routes_per_port=args.routes_per_port,
                               seed=args.seed)
     text = gen_synthetic(cfg)
-    _write_files({args.out: text})
+    _write_files([(args.out, text)])
     n_points = text.count("\n") - 1
     print(f"routes={cfg.n_ports * cfg.routes_per_port} points={n_points} out={args.out}")
     return 0
@@ -114,8 +121,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params = _load_params_file(args.params)
-    if args.no_smoothing:
-        params = replace(params, smoothing_enabled=False)
     train_routes = _load_routes(args.train, labeled=True)
     test_routes = _load_routes(args.test, labeled=True)
     with _as_cli_error(code=2):
@@ -151,54 +156,43 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise CliError("need at least 2 labeled routes to tune", code=2)
     best, history = evolve(routes, cfg, workers=_threads(args))
     history_path = args.history or args.out + ".history.csv"
-    _write_files({args.out: format_params(best.to_params()), history_path: history_csv(history)})
+    _write_files([(args.out, format_params(best.to_params())),
+                  (history_path, history_csv(history))])
     print(f"generations={history[-1].generation} best_fitness={history[-1].best_fitness!r} "
           f"params={args.out} history={history_path}")
     return 0
 
 
-def _bench_points(routes: list[Route]) -> tuple[np.ndarray, np.ndarray]:
-    pts = [p for route in routes for p in route.points]
-    return embed_points(pts, FeatureWeights()), np.array([p.point_id for p in pts], dtype=np.int64)
-
-
-def _bench_queries(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    lats = rng.uniform(-60.0, 60.0, size=n)
-    lons = rng.uniform(-180.0, 180.0, size=n)
-    bearings = rng.uniform(0.0, 360.0, size=n)
-    return embed_arrays(lats, lons, bearings, FeatureWeights())
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.queries < 1 or args.seed < 0:
         raise CliError("--queries must be >= 1 and --seed >= 0")
-    routes = _load_routes(args.train, labeled=True)
-    pts, ids = _bench_points(routes)
-    queries = _bench_queries(args.queries, args.seed)
+    pts = [p for route in _load_routes(args.train, labeled=True) for p in route.points]
+    points = embed_points(pts, FeatureWeights())
+    ids = np.array([p.point_id for p in pts], dtype=np.int64)
+    rng = np.random.default_rng(args.seed)
+    queries = embed_arrays(rng.uniform(-60.0, 60.0, args.queries),
+                           rng.uniform(-180.0, 180.0, args.queries),
+                           rng.uniform(0.0, 360.0, args.queries), FeatureWeights())
 
     t0 = time.perf_counter()
-    tree_nearest = BallTree(pts, ids=ids).nearest
-    t1 = time.perf_counter()
-    brute_pts, brute_ids = pts.copy(), ids.copy()
-    build_s = {"balltree": t1 - t0, "brute": time.perf_counter() - t1}
-    built = {"balltree": tree_nearest,
-             "brute": lambda q: brute_nearest(brute_pts, q, ids=brute_ids)}
+    tree = BallTree(points, ids=ids)
+    # a scan builds nothing, so the brute arm's build time is 0
+    arms = {"balltree": (time.perf_counter() - t0, tree.nearest),
+            "brute": (0.0, lambda q: brute_nearest(points, q, ids=ids))}
+    answers, report = [], []
+    for name, (build_s, nearest) in arms.items():
+        t0 = time.perf_counter()
+        answers.append([nearest(q) for q in queries])
+        mean_s = (time.perf_counter() - t0) / len(queries)
+        report.append(f"structure={name} build_seconds={build_s:.6f} "
+                      f"mean_query_seconds={mean_s:.9f}")
 
     # correctness gate: both structures must agree before any timing prints
-    for q in queries:
-        (tree_id, tree_d), (brute_id, brute_d) = [nearest(q) for nearest in built.values()]
+    for (tree_id, tree_d), (brute_id, brute_d) in zip(*answers):
         if tree_id != brute_id or abs(tree_d - brute_d) > 1e-9:
             raise CliError("correctness gate failed: structures disagree")
-    print(f"correctness=ok structures={len(built)} queries={len(queries)} points={len(pts)}")
-
-    for name, nearest in built.items():
-        t0 = time.perf_counter()
-        for q in queries:
-            nearest(q)
-        mean_s = (time.perf_counter() - t0) / len(queries)
-        print(f"structure={name} build_seconds={build_s[name]:.6f} "
-              f"mean_query_seconds={mean_s:.9f}")
+    print(f"correctness=ok structures={len(arms)} queries={len(queries)} points={len(pts)}")
+    print("\n".join(report))
     return 0
 
 
@@ -221,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--params")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--no-smoothing", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="predict port and arrival for unlabeled points")

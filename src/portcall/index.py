@@ -24,9 +24,9 @@ import numpy as np
 
 DEFAULT_LEAF_SIZE = 32
 
-# Temporaries of one query block stay near this many bytes: a query costs
-# about 48 per leaf bound and 96 per scanned point, budgeted at 4 scanned
-# leaves a tree.
+# Query blocks are sized from this many bytes at about 48 per leaf bound and 96
+# per point of 4 scanned leaves a tree. Queries scan more (8.1 leaves a port on
+# canonical data, 13.6 on the batch-large slice), so a call peaks at 2.5 / 1.7 MB.
 BLOCK_BYTES = 1 << 20
 
 _NO_ID = np.iinfo(np.int64).max

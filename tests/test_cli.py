@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from portcall import cli
 from portcall.cli import main
 from portcall.evaluation import SyntheticConfig, gen_synthetic
 from portcall.ingest import AIS_HEADER, format_timestamp, parse_ais_csv, records_to_csv
@@ -117,8 +118,10 @@ def test_evaluate_no_smoothing_hurts_on_flip_flop(tmp_path, tiny_train, capsys):
     smoothed = capsys.readouterr().out
     assert "earliness=1.0" in smoothed
 
+    params = tmp_path / "raw.params"
+    params.write_text("smoothing.enabled = false\n")
     assert main(["evaluate", "--train", str(tiny_train), "--test", str(test_file),
-                 "--threads", "1", "--no-smoothing"]) == 0
+                 "--threads", "1", "--params", str(params)]) == 0
     raw = capsys.readouterr().out
     assert "earliness=0.6" in raw
 
@@ -291,6 +294,10 @@ FAILURES = [
      "error: {out}: No such file or directory"),
     ("tune --train {train} --generations 0 --population 3 --out {out} --history {params}", 1,
      "error: {out}: No such file or directory"),
+    ("tune --train {train} --generations 0 --population 3 --out {params} --history {dir}", 1,
+     "error: {dir}: Is a directory"),
+    ("tune --train {train} --generations 0 --population 3 --out {fresh} --history {fresh}", 1,
+     "error: {fresh}: named for two outputs"),
 ]
 
 
@@ -327,6 +334,24 @@ def test_failure_exit_code_and_message(tmp_path, failure_paths, capsys, argv, co
     assert got.out == ""
     # a failed command creates no file and changes none
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files_before
+
+
+def test_existing_tmp_file_is_left_alone(tmp_path, tiny_train, capsys):
+    # a user's <out>.tmp is never a command's temporary, whether it succeeds or fails
+    out = tmp_path / "p.txt"
+    bystanders = {tmp_path / "p.txt.tmp": b"mine\n",
+                  tmp_path / "p.txt.history.csv.tmp": b"mine too\n"}
+    for path, data in bystanders.items():
+        path.write_bytes(data)
+    tune = ["tune", "--train", str(tiny_train), "--generations", "0", "--population", "3",
+            "--out", str(out)]
+    assert main(["gen", "--ports", "2", "--routes-per-port", "1", "--out", str(out)]) == 0
+    assert main(tune) == 0
+    assert main(tune + ["--history", str(tmp_path / "no_dir" / "h.csv")]) == 1
+    capsys.readouterr()
+    assert {p: p.read_bytes() for p in bystanders} == bystanders
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["train.csv", "p.txt", "p.txt.history.csv", *(p.name for p in bystanders)])
 
 
 def test_predict_unprintable_arrival_exit_1(tmp_path, tiny_train, capsys):
@@ -450,10 +475,28 @@ def test_bench_gate_and_report(tmp_path, tiny_train, capsys):
     assert lines[0].startswith("correctness=ok")
     names = [line.split()[0] for line in lines[1:]]
     assert names == ["structure=balltree", "structure=brute"]
-    for line in lines[1:]:
-        fields = dict(part.split("=") for part in line.split())
-        assert float(fields["build_seconds"]) >= 0.0
-        assert float(fields["mean_query_seconds"]) > 0.0
+    fields = [dict(part.split("=") for part in line.split()) for line in lines[1:]]
+    assert float(fields[0]["build_seconds"]) >= 0.0
+    # a scan builds nothing
+    assert fields[1]["build_seconds"] == "0.000000"
+    assert all(float(f["mean_query_seconds"]) > 0.0 for f in fields)
+
+
+def test_bench_gate_failure_prints_no_timing(tiny_train, capsys, monkeypatch):
+    real = cli.brute_nearest
+    calls = []
+
+    def brute_off_on_third_query(points, q, ids=None):
+        calls.append(q)
+        best_id, best_d = real(points, q, ids=ids)
+        return (best_id + 1 if len(calls) == 3 else best_id), best_d
+
+    monkeypatch.setattr(cli, "brute_nearest", brute_off_on_third_query)
+    assert main(["bench", "--train", str(tiny_train), "--queries", "5", "--seed", "1"]) == 1
+    got = capsys.readouterr()
+    assert got.err == "error: correctness gate failed: structures disagree\n"
+    assert got.out == ""
+    assert len(calls) == 5  # the brute arm answered each query once
 
 
 def test_unknown_command_rejected():
