@@ -8,18 +8,18 @@ brute scan over one query set, printing the timings only if all answers agree.
 
 Exit codes: 0 success, 1 bad argument, file or parse error, 2 empty dataset. All data
 output is byte-identical for any --threads value; only wall-clock timings
-vary. No model is ever persisted: training is fast enough to redo per
-invocation, so only the parameter file format is durable.
+vary. Training is fast enough to redo per invocation, so no model is persisted.
+A command writes at most one file, ``gen`` the dataset and ``tune`` the
+parameters, and prints the rest, such as ``tune``'s GA history, to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -76,29 +76,18 @@ def _load_params_file(path: str | None) -> ModelParams:
         return load_params(path)
 
 
-def _write_files(outputs: list[tuple[str, str]]) -> None:
-    """Write every (path, text) output or none: all targets are checked first,
-    each text goes to a new ``<path>.<pid>.tmp``, and the temporaries are
-    renamed into place only once all are written."""
-    for i, (path, _) in enumerate(outputs):
-        if os.path.isdir(path):
-            raise CliError(f"{path}: {os.strerror(errno.EISDIR)}")
-        if os.path.realpath(path) in {os.path.realpath(p) for p, _ in outputs[:i]}:
-            raise CliError(f"{path}: named for two outputs")
-    temps: list[str] = []
-    try:
-        for path, text in outputs:
-            with _as_cli_error(path), open(f"{path}.{os.getpid()}.tmp", "x",
-                                           encoding="utf-8") as fh:
-                temps.append(fh.name)
+def _write_file(path: str, text: str) -> None:
+    """Replace ``path`` whole or not at all: write a new ``<path>.<pid>.tmp``,
+    rename it over ``path``, and remove it on any failure after creating it."""
+    with _as_cli_error(path):
+        fh = open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8")
+        try:
+            with fh:
                 fh.write(text)
-        for (path, _), tmp in zip(outputs, temps):
-            with _as_cli_error(path):
-                os.replace(tmp, path)
-    finally:
-        for tmp in temps:
-            with suppress(FileNotFoundError):
-                os.remove(tmp)
+            os.replace(fh.name, path)
+        except BaseException:
+            os.remove(fh.name)
+            raise
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -113,7 +102,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         cfg = SyntheticConfig(n_ports=args.ports, routes_per_port=args.routes_per_port,
                               seed=args.seed)
     text = gen_synthetic(cfg)
-    _write_files([(args.out, text)])
+    _write_file(args.out, text)
     n_points = text.count("\n") - 1
     print(f"routes={cfg.n_ports * cfg.routes_per_port} points={n_points} out={args.out}")
     return 0
@@ -152,14 +141,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
         cfg = GaConfig(population=args.population, generations=args.generations,
                        seed=args.seed)
     routes = _load_routes(args.train, labeled=True)
+    if os.path.exists(args.out) and os.path.samefile(args.out, args.train):
+        raise CliError(f"{args.out}: same file as --train")
     if len(routes) < 2:
         raise CliError("need at least 2 labeled routes to tune", code=2)
     best, history = evolve(routes, cfg, workers=_threads(args))
-    history_path = args.history or args.out + ".history.csv"
-    _write_files([(args.out, format_params(best.to_params())),
-                  (history_path, history_csv(history))])
+    _write_file(args.out, format_params(best.to_params()))
+    sys.stdout.write(history_csv(history))
     print(f"generations={history[-1].generation} best_fitness={history[-1].best_fitness!r} "
-          f"params={args.out} history={history_path}")
+          f"params={args.out}")
     return 0
 
 
@@ -230,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--history")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("bench", help="time nearest-neighbor structures")

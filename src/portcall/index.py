@@ -68,6 +68,8 @@ def brute_nearest(points: np.ndarray, q: np.ndarray,
                   ids: Sequence[int] | None = None) -> tuple[int, float]:
     """Linear-scan argmin; ties go to the smallest point id."""
     pts, id_arr = _check_points(points, ids)
+    if np.shape(q) != pts.shape[1:]:
+        raise ValueError("query must be one vector of the points' width")
     d = _distances(pts, np.asarray(q, dtype=np.float64))
     best = d.min()
     if not np.isfinite(best):

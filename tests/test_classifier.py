@@ -1,6 +1,7 @@
 """Training, per-port candidates, similarity, smoothing, classification."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from portcall.classifier import (
     ModelParams,
     RouteState,
     classify_point,
+    classify_points,
     embed_points,
     similarity,
     train,
@@ -16,7 +18,7 @@ from portcall.classifier import (
 from portcall.embedding import FeatureWeights, embed
 from portcall.geo import EARTH_RADIUS_KM, great_circle_km
 from portcall.index import brute_nearest
-from portcall.ingest import AisRecord
+from portcall.ingest import AIS_HEADER, AisRecord, parse_ais_csv
 from portcall.routes import RoutePoint, enrich_route, partition_routes
 
 
@@ -288,3 +290,46 @@ def test_zero_penalty_winner_is_closest_by_great_circle():
                 port = r.arrival_port
                 dists[port] = min(dists.get(port, float("inf")), d)
         assert pred.raw_port == min(dists, key=dists.get)
+
+
+# every combination of the extremes the parser accepts: latitude at the poles;
+# longitude at the antimeridian, on the 0-360 convention and at +-1e308 (all
+# folded into range); speed 0 and 1e308; course missing or just under 360;
+# heading missing, the AIS "unavailable" 511, or just under 360
+EXTREME_FIELDS = list(product(["-90", "90"],
+                              ["-180", "180", "0", "270", "360", "-1e308", "1e308"],
+                              ["0", "1e308"], ["", "359.99"], ["", "511", "359.99"]))
+
+
+def test_extreme_accepted_rows_train_and_classify_exactly():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        lines = [",".join(AIS_HEADER)]
+        for i in rng.permutation(len(EXTREME_FIELDS)):
+            lat, lon, speed, course, heading = EXTREME_FIELDS[i]
+            # six routes into three ports; four timestamps, so fixes repeat them
+            route, ts = int(rng.integers(0, 6)), int(rng.integers(0, 4)) * 600
+            lines.append(f"S{route},70,{speed},{lon},{lat},{course},{heading},{ts},ALFA,,"
+                         f"{86400 + route},PORT{route % 3}")
+        records, errors = parse_ais_csv("\n".join(lines) + "\n", labeled=True)
+        assert errors == [] and len(records) == len(EXTREME_FIELDS)
+        routes = partition_routes(records)
+        for route in routes:
+            enrich_route(route)
+        model = train(routes, ModelParams())
+
+        by_port = {port: [p for r in routes if r.arrival_port == port for p in r.points]
+                   for port in model.ports}
+        remaining = {p.point_id: p.remaining_time_s for r in routes for p in r.points}
+        for route in routes:
+            queries = embed_points(route.points, model.params.weights)
+            ids, dists, _ = model.table.nearest(queries)
+            for g, pts in enumerate(by_port.values()):
+                data = embed_points(pts, model.params.weights)
+                pids = [p.point_id for p in pts]
+                for k, q in enumerate(queries):
+                    assert (int(ids[k, g]), float(dists[k, g])) == brute_nearest(data, q, pids)
+            preds = classify_points(model, RouteState(), route.points)
+            assert all(p.chosen_point_id in row for p, row in zip(preds, ids.tolist()))
+            assert [p.arrival for p in preds] == [q.record.timestamp + remaining[p.chosen_point_id]
+                                                  for q, p in zip(route.points, preds)]

@@ -2,13 +2,15 @@
 
 import contextlib
 import io
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from portcall import cli
-from portcall.cli import main
+from portcall.cli import build_parser, main
 from portcall.evaluation import SyntheticConfig, gen_synthetic
 from portcall.ingest import AIS_HEADER, format_timestamp, parse_ais_csv, records_to_csv
 from portcall.params import load_params
@@ -252,7 +254,7 @@ def test_bad_numeric_argument_exit_1(tmp_path, tiny_train, capsys, argv):
 
 # (argv, exit code, stderr): every way a command fails; each {name} is a path
 # from failure_paths, {out} sits in a directory that does not exist, {params}
-# exists and {fresh} does not
+# exists, {fresh} does not and {train_link} is a symlink to {train}
 FAILURES = [
     ("evaluate --train {missing} --test {train}", 1,
      "error: {missing}: No such file or directory"),
@@ -282,22 +284,21 @@ FAILURES = [
      "error: {out}: No such file or directory"),
     ("tune --train {train} --generations 0 --population 3 --out {out}", 1,
      "error: {out}: No such file or directory"),
-    ("tune --train {train} --generations 0 --population 3 --out {params} --history {out}", 1,
-     "error: {out}: No such file or directory"),
+    ("tune --train {train} --generations 0 --population 3 --out {dir}", 1,
+     "error: {dir}: Is a directory"),
     ("gen --ports 1 --out {out}", 1, "error: need at least 2 ports and 1 route per port"),
     ("tune --train {train} --population 2 --out {out}", 1,
      "error: population must be > 2, the elite count"),
     ("bench --train {train} --queries 0", 1, "error: --queries must be >= 1 and --seed >= 0"),
-    ("tune --train {train} --generations 0 --population 3 --out {fresh} --history {out}", 1,
-     "error: {out}: No such file or directory"),
-    ("tune --train {train} --generations 0 --population 3 --out {out} --history {fresh}", 1,
-     "error: {out}: No such file or directory"),
-    ("tune --train {train} --generations 0 --population 3 --out {out} --history {params}", 1,
-     "error: {out}: No such file or directory"),
-    ("tune --train {train} --generations 0 --population 3 --out {params} --history {dir}", 1,
-     "error: {dir}: Is a directory"),
-    ("tune --train {train} --generations 0 --population 3 --out {fresh} --history {fresh}", 1,
-     "error: {fresh}: named for two outputs"),
+    ("tune --train {train} --generations 0 --population 3 --out {train}", 1,
+     "error: {train}: same file as --train"),
+    ("tune --train {train} --generations 0 --population 3 --out {train_link}", 1,
+     "error: {train_link}: same file as --train"),
+    ("tune --train {one_route} --generations 0 --population 3 --out {fresh}", 2,
+     "error: need at least 2 labeled routes to tune"),
+    ("tune --train {train} --generations 0 --population 3 --threads 0 --out {fresh}", 1,
+     "error: --threads must be >= 1"),
+    ("tune --train {missing} --out {fresh}", 1, "error: {missing}: No such file or directory"),
 ]
 
 
@@ -315,12 +316,15 @@ def failure_paths(tmp_path, tiny_train):
         "unknown_key": "leaf_size = 8\npenalty.curse = 1.0\n",
         "latin1_params": "leaf_size = 8\n# \u00e9t\u00e9\n",
         "params": "leaf_size = 8\n",
+        "one_route": "\n".join([header, first]) + "\n",
     }
     paths = {"train": tiny_train, "dir": tmp_path, "missing": tmp_path / "nope.csv",
              "out": tmp_path / "no_dir" / "out", "fresh": tmp_path / "fresh.params"}
     for name, text in files.items():
         paths[name] = tmp_path / name
         paths[name].write_bytes(text.encode("latin-1" if name.startswith("latin1") else "utf-8"))
+    paths["train_link"] = tmp_path / "train_link.csv"
+    paths["train_link"].symlink_to(tiny_train)
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -338,20 +342,29 @@ def test_failure_exit_code_and_message(tmp_path, failure_paths, capsys, argv, co
 
 def test_existing_tmp_file_is_left_alone(tmp_path, tiny_train, capsys):
     # a user's <out>.tmp is never a command's temporary, whether it succeeds or fails
-    out = tmp_path / "p.txt"
-    bystanders = {tmp_path / "p.txt.tmp": b"mine\n",
-                  tmp_path / "p.txt.history.csv.tmp": b"mine too\n"}
+    out, folder = tmp_path / "p.txt", tmp_path / "d"
+    folder.mkdir()
+    taken = tmp_path / f"taken.txt.{os.getpid()}.tmp"
+    bystanders = {tmp_path / "p.txt.tmp": b"mine\n", tmp_path / "d.tmp": b"mine too\n",
+                  taken: b"mine as well\n"}
     for path, data in bystanders.items():
         path.write_bytes(data)
     tune = ["tune", "--train", str(tiny_train), "--generations", "0", "--population", "3",
-            "--out", str(out)]
+            "--out"]
     assert main(["gen", "--ports", "2", "--routes-per-port", "1", "--out", str(out)]) == 0
-    assert main(tune) == 0
-    assert main(tune + ["--history", str(tmp_path / "no_dir" / "h.csv")]) == 1
+    assert main(tune + [str(out)]) == 0
     capsys.readouterr()
+    # the rename onto a directory fails after the temporary is written
+    assert main(tune + [str(folder)]) == 1
+    # a file already at the temporary's name fails the command and is kept
+    assert main(tune + [str(tmp_path / "taken.txt")]) == 1
+    got = capsys.readouterr()
+    assert got.err.splitlines() == [f"error: {folder}: Is a directory",
+                                    f"error: {tmp_path / 'taken.txt'}: File exists"]
+    assert got.out == ""
     assert {p: p.read_bytes() for p in bystanders} == bystanders
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["train.csv", "p.txt", "p.txt.history.csv", *(p.name for p in bystanders)])
+        ["train.csv", "p.txt", "d", *(p.name for p in bystanders)])
 
 
 def test_predict_unprintable_arrival_exit_1(tmp_path, tiny_train, capsys):
@@ -433,15 +446,20 @@ def test_tune_round_trip(tmp_path, tiny_train, capsys):
             "--population", "4", "--seed", "3", "--out", str(out)]
     assert main(args) == 0
     first = capsys.readouterr().out
-    assert "best_fitness=" in first
     assert load_params(str(out)).leaf_size == 32
 
-    history = (tmp_path / "tuned.params.history.csv").read_text()
-    assert len(history.strip().split("\n")) == 1 + 3  # header + generations 0..2
+    # the history CSV, then the summary line; tune writes no other file
+    *history, summary = first.splitlines()
+    assert history[0] == "generation,best_fitness,mean_fitness"
+    assert len(history) == 1 + 3  # header + generations 0..2
+    assert summary == (f"generations=2 best_fitness={history[-1].split(',')[1]} "
+                       f"params={out}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv", "tuned.params"]
 
     bytes_a = out.read_bytes()
     assert main(args) == 0
     assert out.read_bytes() == bytes_a
+    assert capsys.readouterr().out == first
 
 
 def test_tune_output_independent_of_threads(tmp_path, capsys):
@@ -449,15 +467,13 @@ def test_tune_output_independent_of_threads(tmp_path, capsys):
     data = tmp_path / "small.csv"
     data.write_text(gen_synthetic(SyntheticConfig(n_ports=3, routes_per_port=4, points_min=10,
                                                   points_max=15, seed=2)))
+    out = tmp_path / "tuned.params"
     outputs = []
     for threads in ("1", "3"):
-        out = tmp_path / f"tuned{threads}.params"
-        history = tmp_path / f"history{threads}.csv"
         assert main(["tune", "--train", str(data), "--generations", "2",
                      "--population", "5", "--seed", "4", "--threads", threads,
-                     "--out", str(out), "--history", str(history)]) == 0
-        outputs.append((out.read_bytes(), history.read_bytes()))
-    capsys.readouterr()
+                     "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
 
 
@@ -497,6 +513,16 @@ def test_bench_gate_failure_prints_no_timing(tiny_train, capsys, monkeypatch):
     assert got.err == "error: correctness gate failed: structures disagree\n"
     assert got.out == ""
     assert len(calls) == 5  # the brute arm answered each query once
+
+
+def test_readme_quickstart_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quickstart (command line)")[1].split("```sh\n")[1].split("```")[0]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("portcall ")]
+    assert [argv[0] for argv in commands] == ["gen", "evaluate", "predict", "tune", "evaluate",
+                                              "bench"]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_unknown_command_rejected():

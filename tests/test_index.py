@@ -292,6 +292,12 @@ def test_input_validation():
             tree.nearest_with_stats(bad)
     with pytest.raises(ValueError):
         brute_nearest(np.eye(5), np.r_[e3, e1])
+    # the scan would broadcast these against the points and answer
+    seven = np.arange(35.0).reshape(7, 5)
+    for points, bad in ((seven, seven), (np.eye(5), np.zeros((5, 1))),
+                        (np.eye(5), np.zeros((1, 5)))):
+        with pytest.raises(ValueError):
+            brute_nearest(points, bad)
     for bad in (np.r_[e3, e1], np.zeros((2, 2, 5)), np.zeros((2, 4))):
         with pytest.raises(ValueError):
             tree.table.nearest(bad)

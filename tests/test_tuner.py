@@ -186,14 +186,14 @@ def test_ga_config_validation():
         GaConfig(population=1)
     with pytest.raises(ValueError):
         GaConfig(population=ELITE_COUNT)
-    with pytest.raises(ValueError):
-        GaConfig(split_fraction=1.5)
     for bad in ({"generations": -1}, {"seed": -1}):
         with pytest.raises(ValueError, match="generations and seed must be >= 0"):
             GaConfig(**bad)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
-def test_ga_config_rejects_bad_fitness_lambda(value):
-    with pytest.raises(ValueError, match=f"fitness_lambda={value} must be finite and >= 0"):
-        GaConfig(fitness_lambda=value)
+@pytest.mark.parametrize("name", ["fitness_lambda", "split_fraction"])
+def test_ga_config_lambda_and_split_are_constants(name):
+    assert (GaConfig.fitness_lambda, GaConfig.split_fraction) == (0.5, 0.8)
+    assert getattr(GaConfig(), name) == getattr(GaConfig, name)
+    with pytest.raises(TypeError):
+        GaConfig(**{name: getattr(GaConfig, name)})
