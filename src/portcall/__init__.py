@@ -32,7 +32,7 @@ from .evaluation import (
 from .geo import angular_diff_deg, great_circle_km, initial_bearing_deg
 from .index import BallTree, brute_nearest
 from .ingest import AisFormatError, AisRecord, load_ais_csv, parse_ais_csv
-from .params import load_params, parse_params, save_params
+from .params import load_params, parse_params
 from .routes import Route, RoutePoint, enrich_route, partition_routes
 from .tuner import GaConfig, Genome, evolve, fitness, split_routes
 
@@ -73,7 +73,6 @@ __all__ = [
     "parse_params",
     "partition_routes",
     "replay_route",
-    "save_params",
     "score_dataset",
     "similarity",
     "split_routes",

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -76,18 +76,27 @@ def _load_params_file(path: str | None) -> ModelParams:
         return load_params(path)
 
 
-def _write_file(path: str, text: str) -> None:
-    """Replace ``path`` whole or not at all: write a new ``<path>.<pid>.tmp``,
-    rename it over ``path``, and remove it on any failure after creating it."""
+@contextmanager
+def _write_file(path: str) -> Iterator[IO[str]]:
+    """Replace ``path`` whole or not at all. A new ``<path>.<pid>.tmp`` is
+    opened before the block runs and handed to it to write; it is renamed over
+    ``path`` after the block and removed if the block or the rename fails."""
+    tmp = f"{path}.{os.getpid()}.tmp"
     with _as_cli_error(path):
-        fh = open(f"{path}.{os.getpid()}.tmp", "x", encoding="utf-8")
         try:
-            with fh:
-                fh.write(text)
-            os.replace(fh.name, path)
-        except BaseException:
-            os.remove(fh.name)
-            raise
+            fh = open(tmp, "x", encoding="utf-8")
+        except FileExistsError as exc:  # name the file in the way, and leave it there
+            raise CliError(f"{tmp}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:  # the block only computes and writes, so a write or rename failed
+        os.remove(tmp)
+        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -101,20 +110,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
     with _as_cli_error():
         cfg = SyntheticConfig(n_ports=args.ports, routes_per_port=args.routes_per_port,
                               seed=args.seed)
-    text = gen_synthetic(cfg)
-    _write_file(args.out, text)
+    with _write_file(args.out) as fh:
+        text = gen_synthetic(cfg)
+        fh.write(text)
     n_points = text.count("\n") - 1
     print(f"routes={cfg.n_ports * cfg.routes_per_port} points={n_points} out={args.out}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    workers = _threads(args)
     params = _load_params_file(args.params)
     train_routes = _load_routes(args.train, labeled=True)
     test_routes = _load_routes(args.test, labeled=True)
     with _as_cli_error(code=2):
         model = train(train_routes, params)
-    scores = score_dataset(model, test_routes, workers=_threads(args))
+    scores = score_dataset(model, test_routes, workers=workers)
     sys.stdout.write(scores_csv(scores))
     print(f"earliness={scores.avg_earliness!r} mae_minutes={scores.mae_minutes!r}")
     return 0
@@ -137,6 +148,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    workers = _threads(args)
     with _as_cli_error():
         cfg = GaConfig(population=args.population, generations=args.generations,
                        seed=args.seed)
@@ -145,8 +157,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise CliError(f"{args.out}: same file as --train")
     if len(routes) < 2:
         raise CliError("need at least 2 labeled routes to tune", code=2)
-    best, history = evolve(routes, cfg, workers=_threads(args))
-    _write_file(args.out, format_params(best.to_params()))
+    with _write_file(args.out) as fh:
+        best, history = evolve(routes, cfg, workers=workers)
+        fh.write(format_params(best.to_params()))
     sys.stdout.write(history_csv(history))
     print(f"generations={history[-1].generation} best_fitness={history[-1].best_fitness!r} "
           f"params={args.out}")

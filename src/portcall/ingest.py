@@ -6,10 +6,10 @@ File format (comma-separated, one header line):
 
 Training ("labeled") files carry ARRIVAL_TIME and ARRIVAL_PORT; query files
 use the same header with those two columns empty. Timestamps are UTC:
-zero-padded ``YYYY-MM-DDTHH:MM:SS`` (the fast path), the same fields
-unpadded as ``strptime`` reads them (``2018-1-1T1:2:3``), or an integer
-epoch-seconds literal as ``int()`` reads it (``+86400``, ``1_000``) that
-falls in years 1-9999, the range ``format_timestamp`` prints.
+``YYYY-MM-DDTHH:MM:SS`` with each field but the year zero-padded or not
+(``2018-1-1T1:2:3``), as Python's ``datetime`` reads ``%Y-%m-%dT%H:%M:%S``,
+or an integer epoch-seconds literal as ``int()`` reads it (``+86400``,
+``1_000``) that falls in years 1-9999, the range ``format_timestamp`` prints.
 Near-ISO forms are rejected: fractions, a space for the ``T``, zone
 suffixes, ``20180101T000000`` and out-of-range fields (``T24:00:00``).
 A heading of 511 means "unavailable" per the AIS standard and is mapped to
@@ -80,45 +80,35 @@ class AisRecord:
     arrival_port: str | None = None
 
 
-# Zero-padded ASCII ISO, the only shape the fromisoformat fast path takes:
-# fromisoformat also accepts fractions, a space separator, zone suffixes and
-# "20180101T000000", which strptime rejects; strptime also accepts unpadded
-# fields and some non-ASCII digits, which fromisoformat rejects, so those fall
-# through to strptime.
-_ISO_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}")
+# The format "%Y-%m-%dT%H:%M:%S" as CPython's datetime parser reads it: its
+# TimeRE field patterns, verbatim, and [Tt] as that parser ignores case. \d is
+# any Unicode digit, so "[0-5]\d" takes a non-ASCII second digit, not a first.
+_DATE_TIME = re.compile(r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+                        r"[Tt](2[0-3]|[0-1]\d|\d):([0-5]\d|\d):(6[0-1]|[0-5]\d|\d)")
 
 # the epochs of 0001-01-01T00:00:00 and 9999-12-31T23:59:59, the range
-# format_timestamp can print; an ISO form cannot leave it
+# format_timestamp can print; a date-time cannot leave it
 EPOCH_MIN, EPOCH_MAX = -62135596800, 253402300799
 
 
 def parse_timestamp(text: str) -> int:
     """Parse ``YYYY-MM-DDTHH:MM:SS`` (UTC) or an epoch-seconds literal.
 
-    The date-time may be zero-padded or not (``2018-1-1T1:2:3``), as
-    ``strptime`` reads it; the literal is anything ``int()`` reads that falls
-    in years 1-9999.
+    The date-time follows ``_DATE_TIME``, padded or not (``2018-1-1T1:2:3``),
+    and must name a real date and time: no ``02-30``, no second 60. The
+    literal is anything ``int()`` reads that falls in years 1-9999.
     """
     text = text.strip()
-    if _ISO_SHAPE.fullmatch(text):
-        try:
-            return int(datetime.fromisoformat(text).replace(tzinfo=timezone.utc).timestamp())
-        except ValueError:
-            pass
-    else:
-        try:
-            epoch = int(text)
-        except ValueError:
-            pass
-        else:
-            if not EPOCH_MIN <= epoch <= EPOCH_MAX:
-                raise ValueError("timestamp out of range")
-            return epoch
+    match = _DATE_TIME.fullmatch(text)
     try:
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+        if match:
+            return int(datetime(*map(int, match.groups()), tzinfo=timezone.utc).timestamp())
+        epoch = int(text)
     except ValueError:
         raise ValueError(f"unparseable timestamp: {text!r}") from None
-    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+    if not EPOCH_MIN <= epoch <= EPOCH_MAX:
+        raise ValueError("timestamp out of range")
+    return epoch
 
 
 def format_timestamp(epoch_s: int) -> str:

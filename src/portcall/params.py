@@ -91,8 +91,3 @@ def format_params(p: ModelParams) -> str:
     values = {**vars(p.weights), **vars(p)}
     return "".join(f"{key} = {_CODECS[type(_DEFAULTS[name])][1](values[name])}\n"
                    for key, name in _FIELDS.items())
-
-
-def save_params(path: str, params: ModelParams) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_params(params))

@@ -360,11 +360,33 @@ def test_existing_tmp_file_is_left_alone(tmp_path, tiny_train, capsys):
     assert main(tune + [str(tmp_path / "taken.txt")]) == 1
     got = capsys.readouterr()
     assert got.err.splitlines() == [f"error: {folder}: Is a directory",
-                                    f"error: {tmp_path / 'taken.txt'}: File exists"]
+                                    f"error: {taken}: File exists"]
     assert got.out == ""
     assert {p: p.read_bytes() for p in bystanders} == bystanders
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["train.csv", "p.txt", "d", *(p.name for p in bystanders)])
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called after the command should have failed")
+
+
+def test_tune_unwritable_out_fails_before_the_ga(tmp_path, tiny_train, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evolve", _must_not_run)
+    out = tmp_path / "no_dir" / "p.params"
+    assert main(["tune", "--train", str(tiny_train), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {out}: No such file or directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+
+@pytest.mark.parametrize("argv", ["evaluate --train {train} --test {train} --threads 0",
+                                  "tune --train {train} --threads 0 --out {out}"])
+def test_threads_checked_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_load_routes", _must_not_run)
+    argv = argv.format(train=tmp_path / "nope.csv", out=tmp_path / "p.params")
+    assert main(argv.split()) == 1
+    assert capsys.readouterr() == ("", "error: --threads must be >= 1\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_predict_unprintable_arrival_exit_1(tmp_path, tiny_train, capsys):

@@ -1,5 +1,6 @@
 """CSV ingestion: schema, row errors, timestamp formats, round-trips."""
 
+import re
 from datetime import datetime, timezone
 from math import isfinite
 
@@ -52,7 +53,7 @@ def test_parse_timestamp_accepted_forms(text, epoch):
 
 
 @pytest.mark.parametrize("text", [
-    # fromisoformat reads the first five; strptime reads none
+    # near-ISO forms, and fields that name no real date or time
     "2018-01-01T00:00:00.5",
     "2018-01-01 00:00:00",
     "2018-01-01T00:00:00+00:00",
@@ -288,8 +289,8 @@ def test_synthetic_round_trip(canonical_records):
     assert records == canonical_records
 
 
-# --- reference parser: the row parser as it was before the timestamp fast
-# path and the arrival cache, kept as the oracle for the fuzz below.
+# --- reference parser: the row parser with strptime reading the date-times and
+# no arrival cache, kept as the oracle for the fuzz and the sweep below.
 
 def oracle_parse_timestamp(text: str) -> int:
     text = text.strip()
@@ -484,3 +485,44 @@ def test_parse_matches_oracle_fuzz(canonical_records, seed, labeled):
     assert len(errors) >= 100 and len(records) >= 400
     if labeled:
         assert sum(bad_arrival in e.reason for e in errors) >= 2
+
+
+# characters the sweep below inserts and replaces: the date-time's own, a
+# lowercase t, whitespace, the starts of fractions and zone suffixes, and two
+# non-ASCII digits (Arabic-Indic three, fullwidth zero)
+SWEEP_CHARS = list("0123456789-:Tt \t.Z+") + ["\u0663", "\uff10"]
+
+
+def _outcome(parse, text: str) -> int | str:
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_timestamp_matches_oracle_character_sweep():
+    rng = np.random.default_rng(7)
+    n, edits = 30_000, 4
+    epochs = rng.integers(EPOCH_MIN, EPOCH_MAX, size=n, endpoint=True)
+    n_edits = rng.integers(0, edits + 1, size=n)
+    ops = rng.integers(0, 3, size=(n, edits))  # insert, replace, delete
+    where = rng.random((n, edits))
+    picks = rng.integers(0, len(SWEEP_CHARS), size=(n, edits))
+    outcomes = {}
+    for k in range(n):
+        chars = list(format_timestamp(int(epochs[k])))
+        for op, at, pick in zip(ops[k, :n_edits[k]], where[k], picks[k]):
+            i, char = int(at * (len(chars) + 1)), SWEEP_CHARS[pick]
+            if op == 0:
+                chars.insert(i, char)
+            else:
+                chars[i:i + 1] = [char] if op == 1 else []
+        text = "".join(chars)
+        outcomes[text.strip()] = got = _outcome(parse_timestamp, text)
+        assert got == _outcome(oracle_parse_timestamp, text), text
+    accepted = [text for text, got in outcomes.items() if isinstance(got, int)]
+    assert len(accepted) >= 3000 and len(outcomes) - len(accepted) >= 3000
+    assert any("t" in text for text in accepted)
+    assert any(re.search(r"- [1-9][Tt]", text) for text in accepted)  # space-padded day
+    # a non-ASCII second digit of a month, day, hour, minute or second field
+    assert any(re.search("[-Tt:][0-9][\u0663\uff10]", text) for text in accepted)

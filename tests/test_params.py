@@ -9,7 +9,6 @@ from portcall.params import (
     format_params,
     load_params,
     parse_params,
-    save_params,
 )
 
 
@@ -42,7 +41,7 @@ def test_full_round_trip(tmp_path):
     assert params.smoothing_enabled is False
 
     path = tmp_path / "p.txt"
-    save_params(str(path), params)
+    path.write_text(format_params(params), encoding="utf-8")
     assert load_params(str(path)) == params
 
 
