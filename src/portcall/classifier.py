@@ -28,15 +28,17 @@ from .geo import angular_diff_deg, great_circle_km
 from .index import BallTree, DEFAULT_LEAF_SIZE, LeafTable
 from .routes import Route, RoutePoint
 
+# the speed and distance-from-departure differences that count as "large" (capped at 1)
+NORM_SPEED_KNOTS = 50.0
+NORM_DIST_KM = 100.0
+
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Everything the classifier is parameterized by.
-
-    Penalties scale how strongly an attribute difference inflates the
-    great-circle distance between a query point and a candidate; the
-    normalizers say what difference counts as "large" (capped at 1).
-    ``leaf_size`` bounds the points per leaf of each port's ball tree.
+    """What the genetic algorithm tunes (the embedding weights and the
+    penalties) and the smoothing switch. Penalties scale how strongly an
+    attribute difference inflates the great-circle distance between a query
+    point and a candidate.
     """
 
     weights: FeatureWeights = field(default_factory=FeatureWeights)
@@ -44,10 +46,7 @@ class ModelParams:
     p_heading: float = 1.0
     p_speed: float = 1.0
     p_dist: float = 1.0
-    norm_speed_knots: float = 50.0
-    norm_dist_km: float = 100.0
     smoothing_enabled: bool = True
-    leaf_size: int = DEFAULT_LEAF_SIZE
 
     def __post_init__(self) -> None:
         # nan or inf here makes similarities nan or inf, and min() then keeps the first port
@@ -55,12 +54,6 @@ class ModelParams:
             value = getattr(self, name)
             if not (isfinite(value) and value >= 0):
                 raise ValueError(f"{name}={value} must be finite and >= 0")
-        for name in ("norm_speed_knots", "norm_dist_km"):
-            value = getattr(self, name)
-            if not (isfinite(value) and value > 0):
-                raise ValueError(f"{name}={value} must be finite and > 0")
-        if self.leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
 
 
 @dataclass
@@ -150,7 +143,7 @@ def train(routes: list[Route], params: ModelParams) -> Model:
     for port in sorted(by_port):
         pts = by_port[port]
         tree = BallTree(embed_points(pts, params.weights), ids=[p.point_id for p in pts],
-                        leaf_size=params.leaf_size)
+                        leaf_size=DEFAULT_LEAF_SIZE)
         per_port[port] = PortIndex(tree=tree, points={p.point_id: p for p in pts})
     table = LeafTable.stack([ix.tree.table for ix in per_port.values()])
     for g, ix in enumerate(per_port.values()):
@@ -173,8 +166,8 @@ def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
         d_heading = 0.0
     else:
         d_heading = angular_diff_deg(q.heading_deg, c.heading_deg) / 180.0
-    d_speed = min(abs(q.record.speed_knots - c.record.speed_knots) / params.norm_speed_knots, 1.0)
-    d_dist = min(abs(q.dist_from_departure_km - c.dist_from_departure_km) / params.norm_dist_km, 1.0)
+    d_speed = min(abs(q.record.speed_knots - c.record.speed_knots) / NORM_SPEED_KNOTS, 1.0)
+    d_dist = min(abs(q.dist_from_departure_km - c.dist_from_departure_km) / NORM_DIST_KM, 1.0)
     return (gcd
             * (1.0 + params.p_course * d_course)
             * (1.0 + params.p_heading * d_heading)

@@ -78,9 +78,11 @@ def _load_params_file(path: str | None) -> ModelParams:
 
 @contextmanager
 def _write_file(path: str) -> Iterator[IO[str]]:
-    """Replace ``path`` whole or not at all. A new ``<path>.<pid>.tmp`` is
-    opened before the block runs and handed to it to write; it is renamed over
-    ``path`` after the block and removed if the block or the rename fails."""
+    """Replace file ``path`` whole or not at all: a directory is refused, and
+    a new ``<path>.<pid>.tmp`` opened before the block runs and handed to it;
+    it is renamed over ``path`` after the block and removed if either fails."""
+    if os.path.isdir(path):
+        raise CliError(f"{path}: Is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
     with _as_cli_error(path):
         try:

@@ -73,9 +73,10 @@ def score_route(model: Model, route: Route) -> tuple[str, float, float]:
 def score_dataset(model: Model, routes: list[Route], workers: int = 1) -> Scores:
     """Replay every route and aggregate; deterministic for any worker count.
 
-    Routes replay independently (fresh state each), so with more than one
-    worker they run on a thread pool, the package's only one; per-route rows
-    keep input order and the averages are plain arithmetic means over them.
+    Routes replay independently (fresh state each), so more than one worker
+    runs them on a thread pool, the package's only one; one worker replays
+    inline, since a pool costs more than a small holdout takes to replay.
+    Per-route rows keep input order; the averages are plain arithmetic means.
     """
     if not routes:
         raise ValueError("no routes to score")

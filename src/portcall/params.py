@@ -26,9 +26,6 @@ _FIELDS = {
     "penalty.heading": "p_heading",
     "penalty.speed": "p_speed",
     "penalty.dist_from_departure": "p_dist",
-    "norm.speed_knots": "norm_speed_knots",
-    "norm.dist_km": "norm_dist_km",
-    "leaf_size": "leaf_size",
     "smoothing.enabled": "smoothing_enabled",
 }
 _WEIGHT_DEFAULTS = vars(FeatureWeights())
@@ -51,13 +48,13 @@ def _parse_bool(text: str) -> bool:
 
 
 # type of a field's default -> (parse, format)
-_CODECS = {float: (float, repr), int: (int, str),
+_CODECS = {float: (float, repr),
            bool: (_parse_bool, lambda value: "true" if value else "false")}
 
 
 def parse_params(text: str) -> ModelParams:
     weight_kw: dict[str, float] = {}
-    param_kw: dict[str, float | int | bool] = {}
+    param_kw: dict[str, float | bool] = {}
     params = ModelParams()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -96,7 +96,7 @@ def fitness(genome: Genome, train_routes: list[Route], val_routes: list[Route],
             fitness_lambda: float = GaConfig.fitness_lambda, workers: int = 1) -> float:
     """Earliness plus a bounded arrival-accuracy bonus on the holdout split.
 
-    Trains with the default leaf size and replays the holdout routes on
+    Trains on ``genome.to_params()`` and replays the holdout routes on
     ``workers`` threads; the value is the same for any worker count.
     """
     if not train_routes or not val_routes:

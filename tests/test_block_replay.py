@@ -1,11 +1,10 @@
 """Batch replay equals streaming: blocks of any size give the predictions of
 per-point classify_point calls, bit for bit."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from portcall import classifier
 from portcall.classifier import (
     ModelParams,
     RouteState,
@@ -60,37 +59,50 @@ def lattice_routes(rng, ports, n_routes, label_offset=0):
 
 
 def assert_batch_equals_stream(model, routes, rng):
+    """Check every replay path against streaming; return the predictions."""
+    out = []
     for route in routes:
         expected = streamed(model, route)
         assert replay_route(model, route) == expected
         assert in_chunks(model, route, rng) == expected
+        out.append(expected)
     serial = score_dataset(model, routes, workers=1)
     assert serial.per_route == [score_route(model, r) for r in routes]
     assert score_dataset(model, routes, workers=4) == serial
+    return out
 
 
 @pytest.mark.parametrize("leaf_size", [1, 32])
-def test_batch_equals_stream_canonical(canonical_routes, leaf_size):
+def test_batch_equals_stream_canonical(canonical_routes, leaf_size, monkeypatch):
     rng = np.random.default_rng(40 + leaf_size)
     train_part, val = split_routes(canonical_routes, 0.8, 5)
-    model = train(train_part, ModelParams(leaf_size=leaf_size))
+    default = train(train_part, ModelParams())
+    monkeypatch.setattr(classifier, "DEFAULT_LEAF_SIZE", leaf_size)
+    model = train(train_part, ModelParams())
     if leaf_size == 1:
         # a tiny leaf size makes a large table, so queries run in small blocks
         assert max(len(r.points) for r in val) > model.table.block
-    assert_batch_equals_stream(model, val[:25], rng)
+    # the search is exact, so no leaf size changes a prediction
+    assert assert_batch_equals_stream(model, val[:25], rng) == [
+        replay_route(default, r) for r in val[:25]]
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_batch_equals_stream_lattice_ties(seed):
+def test_batch_equals_stream_lattice_ties(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     ports = ["PORTA", "PORTB", "PORTC"]
     train_routes = lattice_routes(rng, ports, 30)
     queries = lattice_routes(rng, ports, 12, label_offset=100)
+    all_params = (ModelParams(), ModelParams(p_course=0.0, p_heading=0.0,
+                                             p_speed=0.0, p_dist=0.0))
+    by_leaf_size = []
     for leaf_size in (1, 4, 32):
-        for params in (ModelParams(), ModelParams(p_course=0.0, p_heading=0.0,
-                                                  p_speed=0.0, p_dist=0.0)):
-            model = train(train_routes, replace(params, leaf_size=leaf_size))
-            assert_batch_equals_stream(model, queries, rng)
+        monkeypatch.setattr(classifier, "DEFAULT_LEAF_SIZE", leaf_size)
+        by_leaf_size.append([assert_batch_equals_stream(train(train_routes, params),
+                                                        queries, rng)
+                             for params in all_params])
+    # the search is exact, so no leaf size changes a prediction, even among ties
+    assert by_leaf_size[0] == by_leaf_size[1] == by_leaf_size[2]
 
 
 def test_empty_block_predicts_nothing(canonical_routes):

@@ -276,7 +276,7 @@ FAILURES = [
     ("predict --train {train} --query {train} --params {missing}", 1,
      "error: {missing}: No such file or directory"),
     ("evaluate --train {train} --test {train} --params {latin1_params}", 1,
-     "error: {latin1_params}: 'utf-8' codec can't decode byte 0xe9 in position 16: "
+     "error: {latin1_params}: 'utf-8' codec can't decode byte 0xe9 in position 22: "
      "invalid continuation byte"),
     ("evaluate --train {train} --test {train} --threads 0", 1,
      "error: --threads must be >= 1"),
@@ -313,9 +313,9 @@ def failure_paths(tmp_path, tiny_train):
         "conflict": "\n".join([header, first, ",".join(conflict), *rows]) + "\n",
         "latin1": "\n".join([header, "T\u00e9", *rows]) + "\n",
         "bad_value": "penalty.course = nan\n",
-        "unknown_key": "leaf_size = 8\npenalty.curse = 1.0\n",
-        "latin1_params": "leaf_size = 8\n# \u00e9t\u00e9\n",
-        "params": "leaf_size = 8\n",
+        "unknown_key": "penalty.speed = 8.0\npenalty.curse = 1.0\n",
+        "latin1_params": "penalty.speed = 8.0\n# \u00e9t\u00e9\n",
+        "params": "penalty.speed = 8.0\n",
         "one_route": "\n".join([header, first]) + "\n",
     }
     paths = {"train": tiny_train, "dir": tmp_path, "missing": tmp_path / "nope.csv",
@@ -354,7 +354,7 @@ def test_existing_tmp_file_is_left_alone(tmp_path, tiny_train, capsys):
     assert main(["gen", "--ports", "2", "--routes-per-port", "1", "--out", str(out)]) == 0
     assert main(tune + [str(out)]) == 0
     capsys.readouterr()
-    # the rename onto a directory fails after the temporary is written
+    # a directory fails before any temporary is created
     assert main(tune + [str(folder)]) == 1
     # a file already at the temporary's name fails the command and is kept
     assert main(tune + [str(tmp_path / "taken.txt")]) == 1
@@ -371,12 +371,27 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("called after the command should have failed")
 
 
+def assert_unwritable_outs_fail(tmp_path, capsys, argv):
+    """``argv`` with ``--out`` in a missing directory, then with ``--out`` a
+    directory, fails naming the path and creates and changes nothing."""
+    folder = tmp_path / "d"
+    folder.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    for out, reason in [(tmp_path / "no_dir" / "out", "No such file or directory"),
+                        (folder, "Is a directory")]:
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {out}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_tune_unwritable_out_fails_before_the_ga(tmp_path, tiny_train, capsys, monkeypatch):
     monkeypatch.setattr(cli, "evolve", _must_not_run)
-    out = tmp_path / "no_dir" / "p.params"
-    assert main(["tune", "--train", str(tiny_train), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: {out}: No such file or directory\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+    assert_unwritable_outs_fail(tmp_path, capsys, ["tune", "--train", str(tiny_train)])
+
+
+def test_gen_unwritable_out_fails_before_generating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gen_synthetic", _must_not_run)
+    assert_unwritable_outs_fail(tmp_path, capsys, ["gen"])
 
 
 @pytest.mark.parametrize("argv", ["evaluate --train {train} --test {train} --threads 0",
@@ -468,7 +483,7 @@ def test_tune_round_trip(tmp_path, tiny_train, capsys):
             "--population", "4", "--seed", "3", "--out", str(out)]
     assert main(args) == 0
     first = capsys.readouterr().out
-    assert load_params(str(out)).leaf_size == 32
+    assert load_params(str(out)).smoothing_enabled is True
 
     # the history CSV, then the summary line; tune writes no other file
     *history, summary = first.splitlines()

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from portcall import classifier
 from portcall.classifier import ModelParams, embed_points, train
 from portcall.index import BLOCK_BYTES, BallTree, LeafTable, brute_nearest
 from portcall.tuner import split_routes
@@ -212,11 +213,12 @@ def test_leaves_tile_the_points_sweep():
             assert tree.containment_slack() <= 0.0
 
 
-def test_model_table_groups_are_the_port_trees(canonical_routes):
+def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
     """Training stacks every port's leaves into one table; each port's tree
     reads its group of that table, and the group holds the leaves a tree
     built on the port's points alone holds."""
-    model = train(canonical_routes, ModelParams(leaf_size=8))
+    monkeypatch.setattr(classifier, "DEFAULT_LEAF_SIZE", 8)
+    model = train(canonical_routes, ModelParams())
     assert len(model.per_port) > 1
     for g, ix in enumerate(model.per_port.values()):
         group, tree_table = model.table.group(g), ix.tree.table

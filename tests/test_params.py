@@ -1,5 +1,7 @@
 """Parameter file parsing, defaults, rejection of unknown keys."""
 
+from dataclasses import fields
+
 import pytest
 
 from portcall.classifier import ModelParams
@@ -15,7 +17,7 @@ from portcall.params import (
 def test_empty_text_gives_defaults():
     params = parse_params("")
     assert params == ModelParams()
-    assert params.leaf_size == 32
+    assert params.smoothing_enabled is True
 
 
 def test_full_round_trip(tmp_path):
@@ -29,15 +31,10 @@ def test_full_round_trip(tmp_path):
         "penalty.heading = 0.0",
         "penalty.speed = 9.5",
         "penalty.dist_from_departure = 3.25",
-        "norm.speed_knots = 40.0",
-        "norm.dist_km = 120.0",
-        "leaf_size = 16",
         "smoothing.enabled = false",
     ]))
     assert params.weights.m_x == 0.5
     assert params.p_dist == 3.25
-    assert params.norm_dist_km == 120.0
-    assert params.leaf_size == 16
     assert params.smoothing_enabled is False
 
     path = tmp_path / "p.txt"
@@ -53,8 +50,8 @@ def test_partial_file_keeps_other_defaults():
 
 
 def test_comments_and_blank_lines():
-    params = parse_params("# tuned 2018-04-02\n\nleaf_size = 8  # small tree\n")
-    assert params.leaf_size == 8
+    params = parse_params("# tuned 2018-04-02\n\npenalty.speed = 8.0  # strict\n")
+    assert params.p_speed == 8.0
 
 
 def test_unknown_key_rejected():
@@ -65,26 +62,20 @@ def test_unknown_key_rejected():
 def test_bad_value_rejected():
     with pytest.raises(ParamsError, match="line 1"):
         parse_params("penalty.course = fast\n")
-    with pytest.raises(ParamsError, match="line 1: bad value for 'leaf_size'"):
-        parse_params("leaf_size = 0\n")
+    with pytest.raises(ParamsError, match="line 1: bad value for 'penalty.speed'"):
+        parse_params("penalty.speed = -1\n")
     with pytest.raises(ParamsError):
         parse_params("smoothing.enabled = maybe\n")
 
 
-def test_leaf_size_below_one_rejected():
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="leaf_size must be >= 1"):
-            ModelParams(leaf_size=bad)
-
-
 def test_duplicate_key_rejected():
     with pytest.raises(ParamsError, match="duplicate"):
-        parse_params("leaf_size = 8\nleaf_size = 16\n")
+        parse_params("penalty.speed = 8.0\npenalty.speed = 16.0\n")
 
 
 def test_missing_equals_rejected():
     with pytest.raises(ParamsError, match="expected key = value"):
-        parse_params("leaf_size 8\n")
+        parse_params("penalty.speed 8.0\n")
 
 
 def test_out_of_range_magnitude_rejected():
@@ -98,22 +89,53 @@ def test_format_lists_every_known_key():
     assert present == set(KNOWN_KEYS)
 
 
+DEFAULT_TEXT = (
+    "magnitude.x = 1.0\n"
+    "magnitude.y = 1.0\n"
+    "magnitude.z = 1.0\n"
+    "magnitude.bearing_sin = 0.25\n"
+    "magnitude.bearing_cos = 0.25\n"
+    "penalty.course = 1.0\n"
+    "penalty.heading = 1.0\n"
+    "penalty.speed = 1.0\n"
+    "penalty.dist_from_departure = 1.0\n"
+    "smoothing.enabled = true\n"
+)
+
+# format_params(ModelParams()) when the normalizers and the leaf size were parameters
+OLD_DEFAULT_TEXT = (
+    "magnitude.x = 1.0\n"
+    "magnitude.y = 1.0\n"
+    "magnitude.z = 1.0\n"
+    "magnitude.bearing_sin = 0.25\n"
+    "magnitude.bearing_cos = 0.25\n"
+    "penalty.course = 1.0\n"
+    "penalty.heading = 1.0\n"
+    "penalty.speed = 1.0\n"
+    "penalty.dist_from_departure = 1.0\n"
+    "norm.speed_knots = 50.0\n"
+    "norm.dist_km = 100.0\n"
+    "leaf_size = 32\n"
+    "smoothing.enabled = true\n"
+)
+
+
 def test_format_default_params_is_pinned():
-    assert format_params(ModelParams()) == (
-        "magnitude.x = 1.0\n"
-        "magnitude.y = 1.0\n"
-        "magnitude.z = 1.0\n"
-        "magnitude.bearing_sin = 0.25\n"
-        "magnitude.bearing_cos = 0.25\n"
-        "penalty.course = 1.0\n"
-        "penalty.heading = 1.0\n"
-        "penalty.speed = 1.0\n"
-        "penalty.dist_from_departure = 1.0\n"
-        "norm.speed_knots = 50.0\n"
-        "norm.dist_km = 100.0\n"
-        "leaf_size = 32\n"
-        "smoothing.enabled = true\n"
-    )
+    # the genes the tuner searches, plus the smoothing switch
+    assert [f.name for f in fields(ModelParams)] == [
+        "weights", "p_course", "p_heading", "p_speed", "p_dist", "smoothing_enabled"]
+    assert len(KNOWN_KEYS) == 10
+    assert format_params(ModelParams()) == DEFAULT_TEXT
+
+
+def test_file_with_the_removed_keys_is_rejected():
+    assert len(OLD_DEFAULT_TEXT.splitlines()) == 13
+    with pytest.raises(ParamsError, match="^line 10: unknown key 'norm.speed_knots'$"):
+        parse_params(OLD_DEFAULT_TEXT)
+    removed = ("norm.speed_knots", "norm.dist_km", "leaf_size")
+    kept = [line for line in OLD_DEFAULT_TEXT.splitlines() if not line.startswith(removed)]
+    assert len(kept) == 10
+    assert parse_params("\n".join(kept)) == ModelParams()
 
 
 # values of the right type that the owning object's own check rejects
@@ -121,9 +143,6 @@ BAD_VALUES = {
     **{f"magnitude.{axis}": "1.5" for axis in ("x", "y", "z", "bearing_sin", "bearing_cos")},
     **{f"penalty.{name}": "-0.5" for name in ("course", "heading", "speed",
                                              "dist_from_departure")},
-    "norm.speed_knots": "0",
-    "norm.dist_km": "-1",
-    "leaf_size": "0",
     "smoothing.enabled": "maybe",
 }
 
@@ -131,7 +150,7 @@ BAD_VALUES = {
 @pytest.mark.parametrize("key", KNOWN_KEYS)
 def test_bad_value_for_every_key_names_its_line(key):
     assert set(BAD_VALUES) == set(KNOWN_KEYS)
-    other = "leaf_size = 8" if key != "leaf_size" else "penalty.speed = 2.0"
+    other = "penalty.speed = 2.0" if key != "penalty.speed" else "penalty.course = 2.0"
     with pytest.raises(ParamsError, match=f"^line 2: bad value for '{key}': "):
         parse_params(f"{other}\n{key} = {BAD_VALUES[key]}\n")
 
@@ -141,8 +160,6 @@ NON_FINITE_FIELDS = {
     "p_heading": "penalty.heading",
     "p_speed": "penalty.speed",
     "p_dist": "penalty.dist_from_departure",
-    "norm_speed_knots": "norm.speed_knots",
-    "norm_dist_km": "norm.dist_km",
 }
 
 
