@@ -9,27 +9,41 @@ The tree is only its leaves: median splits on the dimension of maximum
 spread until each part holds at most ``leaf_size`` points, kept as a padded
 leaf table with each leaf's centroid and radius. One numpy kernel answers a
 block of queries against the flat leaf list of one or many trees: it takes
-every (query, leaf) centroid distance once, bounds each leaf from below by
-it minus the radius and each tree from above by its least centroid distance
-plus radius, then scans every leaf whose bound is ``<=`` its tree's upper
-bound, so equal-distance candidates are reached.
+every (query, leaf) centroid distance once, from one matrix product, and
+widens every radius by a slack that covers that product's rounding. It
+bounds each leaf from below by its centroid distance minus the widened
+radius and each tree from above by its least centroid distance plus widened
+radius, then scans every leaf whose bound is ``<=`` its tree's upper bound,
+so equal-distance candidates are reached. The scan computes every returned
+distance exactly as the linear scan does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 DEFAULT_LEAF_SIZE = 32
 
-# Query blocks are sized from this many bytes at about 48 per leaf bound and 96
+# Query blocks are sized from this many bytes at about 28 per leaf bound and 96
 # per point of 4 scanned leaves a tree. Queries scan more (8.1 leaves a port on
-# canonical data, 13.6 on the batch-large slice), so a call peaks at 2.5 / 1.7 MB.
+# canonical data, 13.6 on the batch-large slice), so a call peaks at 2.5 / 2.1 MB.
 BLOCK_BYTES = 1 << 20
 
 _NO_ID = np.iinfo(np.int64).max
+
+# Points and queries must have squared norms at most this, which keeps every
+# sum the kernel forms finite: |a - b|^2 <= 2|a|^2 + 2|b|^2 <= max / 2.
+MAX_SQ_NORM = np.finfo(np.float64).max / 8
+
+# The rounding slack of the leaf bounds, SLACK * (largest centroid norm +
+# largest query norm), and the floor of that centroid norm; _block derives both.
+SLACK = 4 * math.sqrt(np.finfo(np.float64).eps)
+NORM_FLOOR = 2.0 ** -500
 
 
 @dataclass
@@ -40,12 +54,22 @@ class QueryStats:
     leaves_visited: int = 0
 
 
+def _sq_norms(x: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """The squared norm of every vector along x's last axis, and the largest
+    of them. Raises ValueError unless that is at most MAX_SQ_NORM, which nan
+    and inf fail; einsum, unlike a ufunc, raises no overflow warning."""
+    sq = np.einsum("...i,...i->...", x, x)
+    largest = sq.max(initial=0.0)
+    if not largest <= MAX_SQ_NORM:
+        raise ValueError(f"{what} must be finite with squared norms <= {MAX_SQ_NORM:.4g}")
+    return sq, float(largest)
+
+
 def _check_points(points: np.ndarray, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
     pts = np.ascontiguousarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    _sq_norms(pts, "points")
     if ids is None:
         id_arr = np.arange(pts.shape[0], dtype=np.int64)
     else:
@@ -68,12 +92,12 @@ def brute_nearest(points: np.ndarray, q: np.ndarray,
                   ids: Sequence[int] | None = None) -> tuple[int, float]:
     """Linear-scan argmin; ties go to the smallest point id."""
     pts, id_arr = _check_points(points, ids)
-    if np.shape(q) != pts.shape[1:]:
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != pts.shape[1:]:
         raise ValueError("query must be one vector of the points' width")
-    d = _distances(pts, np.asarray(q, dtype=np.float64))
+    _sq_norms(q, "query")
+    d = _distances(pts, q)
     best = d.min()
-    if not np.isfinite(best):
-        raise ValueError("query must be finite")
     return int(id_arr[d == best].min()), float(best)
 
 
@@ -93,8 +117,18 @@ class LeafTable:
         self.counts = np.asarray(counts, dtype=np.int64)
         self.offsets = np.cumsum(self.counts) - self.counts
         self.leaf_group = np.repeat(np.arange(len(self.counts)), self.counts)
-        per_query = 48 * len(radius) + 96 * 4 * len(self.counts) * points.shape[1]
+        per_query = 28 * len(radius) + 96 * 4 * len(self.counts) * points.shape[1]
         self.block = max(1, BLOCK_BYTES // per_query)
+
+    @cached_property
+    def bound_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The centroid terms of the leaf bounds: ``-2 * centroid.T`` as a
+        contiguous (5, L), each centroid's squared norm, and the largest
+        centroid norm floored at NORM_FLOOR. Made on the first query, so the
+        per-port tables that training stacks and drops never pay for them."""
+        c_sq = np.einsum("ij,ij->i", self.centroid, self.centroid)
+        return (np.ascontiguousarray(-2.0 * self.centroid.T), c_sq,
+                max(math.sqrt(c_sq.max()), NORM_FLOOR))
 
     @classmethod
     def stack(cls, tables: Sequence["LeafTable"]) -> "LeafTable":
@@ -123,25 +157,65 @@ class LeafTable:
         q = np.asarray(queries, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != self.points.shape[2]:
             raise ValueError("queries must be an (n, 5) array")
-        if not np.isfinite(q).all():
-            raise ValueError("queries must be finite")
-        shape = (len(q), len(self.counts))
-        ids, dist, scanned = (np.empty(shape, dtype) for dtype in (np.int64, float, np.int64))
-        for lo in range(0, len(q), self.block):
-            hi = lo + self.block
-            ids[lo:hi], dist[lo:hi], scanned[lo:hi] = self._block(q[lo:hi])
-        return ids, dist, scanned
+        q_sq, q_max = _sq_norms(q, "queries")
+        r = self.radius + SLACK * (self.bound_terms[2] + math.sqrt(q_max))
+        if len(q) <= self.block:
+            return self._block(q, q_sq, r)
+        parts = [self._block(q[lo:lo + self.block], q_sq[lo:lo + self.block], r)
+                 for lo in range(0, len(q), self.block)]
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
-    def _block(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _block(self, q: np.ndarray, q_sq: np.ndarray,
+               r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """nearest() on one block of queries, whose squared norms are q_sq,
+        with the leaf radii widened to r.
+
+        Steps 1-2 only bound, so they take every centroid distance from one
+        matrix product, dc = sqrt(max(q.(-2c) + |c|^2 + |q|^2, 0)), against
+        every radius widened by one slack per call, delta = K*sqrt(eps)*(C + Q),
+        with C the largest centroid norm (from bound_terms) and Q the call's
+        largest |q|. Steps 3-4 compute every returned distance as
+        brute_nearest does, so the answers are exact if no leaf holding a
+        point at its group's least distance is pruned. With u = eps/2 and
+        g(n) = n*u/(1 - n*u) (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., 2002, ch. 3):
+
+        - the 5-term dot product and the two squared norms err by at most
+          g(5)*(2|q||c| + |c|^2 + |q|^2) = g(5)*(|q| + |c|)^2 (Cauchy-Schwarz),
+          and the two adds lift that to g(7)*(|q| + |c|)^2; the clamp at 0
+          only moves toward the true value, which is >= 0;
+        - |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) turns that into
+          sqrt(g(7))*(|q| + |c|) < 1.88*sqrt(eps)*(Q + C) on dc, and the
+          square root's own rounding adds u*dc;
+        - a leaf is pruned when its lower bound dc - (r + delta) exceeds its
+          group's upper bound, which another leaf's dc + (r + delta) sets,
+          so two centroid distances err against each other, by less than
+          3.76*sqrt(eps)*(Q + C), and 2*delta must cover that. Such a leaf
+          has both radii below about Q + C, so the rounding of the radii, of
+          the scan distances and of the bound arithmetic adds a few
+          u*(Q + C), under 1e-6 of the above.
+
+        K = 4 covers it twice over. At the default weights delta is about
+        1.2e-7 embedding units, under a metre on the globe. Products that
+        underflow err absolutely instead, by at most 2^-1075 each and by
+        under 2^-533 through the square roots in all; flooring C at 2^-500
+        covers that. The leaf that sets its group's upper bound always
+        passes, since rounding keeps dc - (r + delta) <= dc <= dc + (r + delta),
+        so every group scans a leaf. delta and the matrix product's rounding
+        can depend on the other queries of a call, and with them the leaves
+        scanned, never the answers.
+        """
         n_q, n_g = len(q), len(self.counts)
-        # 1. every (query, leaf) centroid distance, and each leaf's lower bound
-        dc = _distances(self.centroid, q[:, None, :])
-        bound = np.maximum(dc - self.radius, 0.0)
+        m2ct, c_sq, _ = self.bound_terms
+        # 1. every (query, leaf) centroid distance
+        sq = q @ m2ct
+        sq += c_sq
+        sq += q_sq[:, None]
+        dc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
         # 2. each group's upper bound: a leaf is non-empty and inside its ball
-        upper = np.minimum.reduceat(dc + self.radius, self.offsets, axis=1)
-        # 3. scan every leaf within its group's upper bound; the leaf that sets
-        # it always passes, as max(d - r, 0) <= d + r holds in floating point
-        qi, leaf = np.nonzero(bound <= upper[:, self.leaf_group])
+        upper = np.minimum.reduceat(dc + r, self.offsets, axis=1)
+        # 3. scan every leaf whose lower bound is within its group's upper bound
+        qi, leaf = np.nonzero(dc - r <= upper[:, self.leaf_group])
         d = _distances(self.points[leaf], q[qi][:, None, :])
         # 4. per (query, group): the least distance, then the least id at it;
         # nonzero lists the pairs in order and every pair scans a leaf

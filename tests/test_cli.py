@@ -253,8 +253,8 @@ def test_bad_numeric_argument_exit_1(tmp_path, tiny_train, capsys, argv):
 
 
 # (argv, exit code, stderr): every way a command fails; each {name} is a path
-# from failure_paths, {out} sits in a directory that does not exist, {params}
-# exists, {fresh} does not and {train_link} is a symlink to {train}
+# from failure_paths, {out} sits in a directory that does not exist, {fresh}
+# does not exist and {train_link} is a symlink to {train}
 FAILURES = [
     ("evaluate --train {missing} --test {train}", 1,
      "error: {missing}: No such file or directory"),
@@ -315,7 +315,6 @@ def failure_paths(tmp_path, tiny_train):
         "bad_value": "penalty.course = nan\n",
         "unknown_key": "penalty.speed = 8.0\npenalty.curse = 1.0\n",
         "latin1_params": "penalty.speed = 8.0\n# \u00e9t\u00e9\n",
-        "params": "penalty.speed = 8.0\n",
         "one_route": "\n".join([header, first]) + "\n",
     }
     paths = {"train": tiny_train, "dir": tmp_path, "missing": tmp_path / "nope.csv",

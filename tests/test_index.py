@@ -125,6 +125,30 @@ def test_ties_and_duplicates_match_brute_sweep():
                     assert (int(got_ids[k, g]), float(got_d[k, g])) == brute_nearest(p, q, i)
 
 
+def test_clustered_near_ties_match_brute_sweep():
+    """Tight clusters around unit-norm centres, queried from inside them:
+    centroid distances sit far below the centroid norms, so the matrix
+    product that bounds the leaves keeps few of their digits, and at the
+    1e-155 scale the squares underflow. The rounding slack must still keep
+    every leaf that holds the nearest point, at every offset, scale and leaf
+    size: with no slack 268 of these 2,700 queries go wrong, and with no
+    floor under the centroid norm 15."""
+    rng = np.random.default_rng(43)
+    for offset in np.logspace(-12, 0, 9):
+        for scale in (1e-155, 1e-3, 1.0, 1e3, 1e6):
+            centres = rng.normal(size=(3, 5))
+            centres /= np.linalg.norm(centres, axis=1)[:, None]
+            pts = (centres[rng.integers(0, 3, size=200)]
+                   + offset * rng.normal(size=(200, 5))) * scale
+            ids = rng.permutation(1000)[:200]
+            queries = (centres[rng.integers(0, 3, size=20)]
+                       + offset * rng.normal(size=(20, 5))) * scale
+            for leaf_size in (1, 4, 32):
+                tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
+                for q in queries:
+                    assert tree.nearest(q) == brute_nearest(pts, q, ids)
+
+
 def test_leaf_table_rejects_block_with_one_non_finite_query():
     trees = [BallTree(np.eye(5)), BallTree(-np.eye(5), leaf_size=2)]
     table = LeafTable.stack([t.table for t in trees])
@@ -303,6 +327,22 @@ def test_input_validation():
     for bad in (np.r_[e3, e1], np.zeros((2, 2, 5)), np.zeros((2, 4))):
         with pytest.raises(ValueError):
             tree.table.nearest(bad)
+    assert [a.shape for a in tree.table.nearest(np.zeros((0, 5)))] == [(0, 1)] * 3
+    # a squared norm past MAX_SQ_NORM (1e200 overflows it to inf) could
+    # overflow a distance or a bound: tree, table and scan all refuse it
+    for big in (1e200, 3e153):
+        with pytest.raises(ValueError):
+            BallTree(np.eye(5)).nearest(np.full(5, big))
+        with pytest.raises(ValueError):
+            tree.table.nearest(np.full((2, 5), big))
+        with pytest.raises(ValueError):
+            brute_nearest(np.eye(5), np.full(5, big))
+        with pytest.raises(ValueError):
+            BallTree(np.full((3, 5), big))
+        with pytest.raises(ValueError):
+            brute_nearest(np.full((3, 5), big), np.zeros(5))
+    edge = np.full((3, 5), 1e153)
+    assert BallTree(edge).nearest(-edge[0]) == brute_nearest(edge, -edge[0])
 
 
 def test_build_does_not_mutate_input():
