@@ -165,7 +165,7 @@ NON_FINITE_FIELDS = {
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", sorted(NON_FINITE_FIELDS))
-def test_non_finite_penalty_rejected(name, value):
+def test_non_finite_penalty_or_normalizer_rejected(name, value):
     with pytest.raises(ValueError, match=f"{name}=.* must be finite"):
         ModelParams(**{name: float(value)})
     key = NON_FINITE_FIELDS[name]
