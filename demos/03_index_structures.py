@@ -46,10 +46,7 @@ def main() -> None:
         print(f"{name:<9} {per_query * 1e6:8.1f} us/query")
 
     # how much work a query actually does
-    visited = []
-    for q in queries[:100]:
-        _, _, stats = ball.nearest_with_stats(q)
-        visited.append(stats.leaves_visited)
+    visited = ball.table.nearest(queries[:100])[2]
     print(f"ball tree scans {np.mean(visited):.1f} of {ball.leaf_count} "
           f"leaves on average")
 

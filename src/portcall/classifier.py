@@ -162,10 +162,11 @@ def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
     gcd = great_circle_km(q.record.lat_deg, q.record.lon_deg,
                           c.record.lat_deg, c.record.lon_deg)
     d_course = angular_diff_deg(q.course_deg, c.course_deg) / 180.0
-    if q.heading_deg is None or c.heading_deg is None:
+    q_heading, c_heading = q.record.heading_deg, c.record.heading_deg
+    if q_heading is None or c_heading is None:
         d_heading = 0.0
     else:
-        d_heading = angular_diff_deg(q.heading_deg, c.heading_deg) / 180.0
+        d_heading = angular_diff_deg(q_heading, c_heading) / 180.0
     d_speed = min(abs(q.record.speed_knots - c.record.speed_knots) / NORM_SPEED_KNOTS, 1.0)
     d_dist = min(abs(q.dist_from_departure_km - c.dist_from_departure_km) / NORM_DIST_KM, 1.0)
     return (gcd

@@ -192,10 +192,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         report.append(f"structure={name} build_seconds={build_s:.6f} "
                       f"mean_query_seconds={mean_s:.9f}")
 
-    # correctness gate: both structures must agree before any timing prints
-    for (tree_id, tree_d), (brute_id, brute_d) in zip(*answers):
-        if tree_id != brute_id or abs(tree_d - brute_d) > 1e-9:
-            raise CliError("correctness gate failed: structures disagree")
+    # correctness gate: the same ids and distances, bit for bit, before any timing prints
+    if answers[0] != answers[1]:
+        raise CliError("correctness gate failed: structures disagree")
     print(f"correctness=ok structures={len(arms)} queries={len(queries)} points={len(pts)}")
     print("\n".join(report))
     return 0

@@ -21,7 +21,6 @@ distance exactly as the linear scan does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -44,14 +43,6 @@ MAX_SQ_NORM = np.finfo(np.float64).max / 8
 # largest query norm), and the floor of that centroid norm; _block derives both.
 SLACK = 4 * math.sqrt(np.finfo(np.float64).eps)
 NORM_FLOOR = 2.0 ** -500
-
-
-@dataclass
-class QueryStats:
-    """Work of one nearest() call: leaf bounds computed, leaves scanned."""
-
-    nodes_visited: int = 0
-    leaves_visited: int = 0
 
 
 def _sq_norms(x: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -232,8 +223,9 @@ class BallTree:
     """Exact nearest-neighbor ball tree over a fixed point set, kept as its
     leaves: ``table`` holds their points, ids, centroid and radius, which is
     all the query kernel reads. Leaves hold at most ``leaf_size`` points and
-    every point lies inside its leaf's ball. Immutable; concurrent queries
-    are safe.
+    every point lies inside its leaf's ball. Training rebinds ``table`` once,
+    before any query, to its group of the model's table; nothing changes
+    after that, so concurrent queries are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: Sequence[int] | None = None,
@@ -283,18 +275,11 @@ class BallTree:
 
     def nearest(self, q: np.ndarray) -> tuple[int, float]:
         """Exact nearest point to q: (point_id, distance)."""
-        pid, dist, _ = self.nearest_with_stats(q)
-        return pid, dist
-
-    def nearest_with_stats(self, q: np.ndarray) -> tuple[int, float, QueryStats]:
-        """As nearest(); the stats count the leaf bounds computed (every
-        leaf) and the leaves scanned within the upper bound."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (5,):
             raise ValueError("query must be one 5-D feature vector")
-        ids, dist, scanned = self.table.nearest(q[None])
-        return (int(ids[0, 0]), float(dist[0, 0]),
-                QueryStats(nodes_visited=self.leaf_count, leaves_visited=int(scanned[0, 0])))
+        ids, dist, _ = self.table.nearest(q[None])
+        return int(ids[0, 0]), float(dist[0, 0])
 
     def containment_slack(self) -> float:
         """Max over points of (distance to its leaf's centroid - that leaf's

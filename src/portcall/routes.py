@@ -34,10 +34,6 @@ class RoutePoint:
             return self.record.course_deg
         return self.bearing_deg
 
-    @property
-    def heading_deg(self) -> float | None:
-        return self.record.heading_deg
-
 
 @dataclass
 class Route:

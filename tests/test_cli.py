@@ -551,6 +551,22 @@ def test_bench_gate_failure_prints_no_timing(tiny_train, capsys, monkeypatch):
     assert len(calls) == 5  # the brute arm answered each query once
 
 
+def test_bench_gate_rejects_distance_one_ulp_off(tiny_train, capsys, monkeypatch):
+    """The tree and the scan agree bit for bit, so the gate compares exactly:
+    the right id at a distance one ulp away is a disagreement."""
+    real = cli.brute_nearest
+
+    def brute_one_ulp_far(points, q, ids=None):
+        best_id, best_d = real(points, q, ids=ids)
+        return best_id, float(np.nextafter(best_d, np.inf))
+
+    monkeypatch.setattr(cli, "brute_nearest", brute_one_ulp_far)
+    assert main(["bench", "--train", str(tiny_train), "--queries", "5", "--seed", "1"]) == 1
+    got = capsys.readouterr()
+    assert got.err == "error: correctness gate failed: structures disagree\n"
+    assert got.out == ""
+
+
 def test_readme_quickstart_commands_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Quickstart (command line)")[1].split("```sh\n")[1].split("```")[0]

@@ -159,15 +159,15 @@ def test_leaf_table_rejects_block_with_one_non_finite_query():
             table.nearest(queries)
 
 
-def test_nearest_with_stats_counts_bounds_and_scans():
+def test_single_query_counts_scanned_leaves():
     rng = np.random.default_rng(41)
-    tree = BallTree(random_instance(rng, 700), leaf_size=8)
+    pts = random_instance(rng, 700)
+    tree = BallTree(pts, leaf_size=8)
     for _ in range(20):
         q = rng.uniform(-2, 2, size=5)
-        pid, dist, stats = tree.nearest_with_stats(q)
-        assert (pid, dist) == tree.nearest(q)
-        assert stats.nodes_visited == tree.leaf_count
-        assert 1 <= stats.leaves_visited <= tree.leaf_count
+        ids, dist, scanned = tree.table.nearest(q[None])
+        assert (int(ids[0, 0]), float(dist[0, 0])) == tree.nearest(q) == brute_nearest(pts, q)
+        assert 1 <= scanned[0, 0] <= tree.leaf_count
 
 
 def test_kernel_temporaries_stay_bounded(canonical_routes):
@@ -268,9 +268,9 @@ def test_pruning_visits_fewer_leaves_than_total():
     total_visited = 0
     for _ in range(50):
         q = rng.uniform(-2, 2, size=5)
-        _, _, stats = tree.nearest_with_stats(q)
-        assert stats.leaves_visited <= tree.leaf_count
-        total_visited += stats.leaves_visited
+        scanned = int(tree.table.nearest(q[None])[2][0, 0])
+        assert scanned <= tree.leaf_count
+        total_visited += scanned
     # pruning must actually bite on clustered data, not merely not crash
     assert total_visited < 50 * tree.leaf_count / 2
 
@@ -305,8 +305,6 @@ def test_input_validation():
         with pytest.raises(ValueError):
             tree.nearest(q)
         with pytest.raises(ValueError):
-            tree.nearest_with_stats(q)
-        with pytest.raises(ValueError):
             brute_nearest(np.eye(5), q)
     # a query is one 5-vector for a tree and an (n, 5) block for a table,
     # never any array whose size happens to be a multiple of 5
@@ -314,8 +312,6 @@ def test_input_validation():
     for bad in (np.r_[e3, e1], np.zeros((2, 2, 5)), np.zeros((1, 5)), np.zeros(4)):
         with pytest.raises(ValueError):
             tree.nearest(bad)
-        with pytest.raises(ValueError):
-            tree.nearest_with_stats(bad)
     with pytest.raises(ValueError):
         brute_nearest(np.eye(5), np.r_[e3, e1])
     # the scan would broadcast these against the points and answer

@@ -1,10 +1,11 @@
 """The benchmark in ``perfbench/`` reads portcall by name: its workloads call
 the public set-up path, and its tracer wraps functions and methods of every
-layer. Running a small workload's set-up and gate, and installing the tracer,
-in process makes a renamed or removed name fail here rather than only when
-the benchmark runs."""
+layer. Running a small workload's set-up and gate, installing the tracer,
+and one whole traced run, in process, makes a renamed or removed name fail
+here rather than only when the benchmark runs."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -37,3 +38,17 @@ def test_tune_small_setup_gate_and_tracer(monkeypatch):
     assert len(tracer.trees) == len(st.model.per_port)
     names = {s.name for s in tracer.spans}
     assert {"classifier.train", "embedding.embed_arrays", "index.BallTree.__init__"} <= names
+
+
+def test_traced_tune_small_run_reports_every_layer_metric(monkeypatch, tmp_path, capsys):
+    """One traced run, in process: the per-layer metrics read the model's
+    trees and the index's scan counts, which only this path reaches."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = load("run")
+    monkeypatch.setattr(run, "RESULTS", tmp_path)
+    assert run.run("tune-small", 0, 1, True) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is True
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}
