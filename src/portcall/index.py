@@ -5,8 +5,9 @@ test oracle and the brute benchmark arm) both return the exact nearest point
 under the Euclidean metric, ties going to the smallest point id. Every
 distance comes from one function, so the two agree bit for bit.
 
-The tree is only its leaves: median splits on the dimension of maximum
-spread until each part holds at most ``leaf_size`` points, kept as a padded
+The tree is only its leaves. The build splits one level at a time, every
+part at once at the median of its dimension of maximum spread, until each
+part holds at most ``leaf_size`` points, and keeps the leaves as a padded
 leaf table with each leaf's centroid and radius. One numpy kernel answers a
 block of queries against the flat leaf list of one or many trees: it takes
 every (query, leaf) centroid distance once, from one matrix product, and
@@ -222,8 +223,10 @@ class LeafTable:
 class BallTree:
     """Exact nearest-neighbor ball tree over a fixed point set, kept as its
     leaves: ``table`` holds their points, ids, centroid and radius, which is
-    all the query kernel reads. Leaves hold at most ``leaf_size`` points and
-    every point lies inside its leaf's ball. Training rebinds ``table`` once,
+    all the query kernel reads. The build splits level by level: every part
+    of more than ``leaf_size`` points is sorted, stably, on its dimension of
+    maximum spread (the first on ties) and split at its median row. Every
+    point lies inside its leaf's ball. Training rebinds ``table`` once,
     before any query, to its group of the model's table; nothing changes
     after that, so concurrent queries are safe.
     """
@@ -236,38 +239,30 @@ class BallTree:
         if pts.shape[1] != 5:
             raise ValueError("BallTree indexes 5-D feature vectors")
         self.leaf_size = leaf_size
-        self.n_points = len(pts)
-        pts, id_arr = pts.copy(), id_arr.copy()
-        leaves: list[tuple[int, np.ndarray, float]] = []
-        self._split(pts, id_arr, 0, len(pts), leaves)
+        self.n_points = n = len(pts)
+        # parts are contiguous row ranges; parts left whole sort on key 0
+        end = np.array([n])
+        while True:
+            start = np.r_[0, end[:-1]]
+            count = end - start
+            split = count > leaf_size
+            if not split.any():
+                break
+            dim = (np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)).argmax(axis=1)
+            part = np.repeat(np.arange(len(end)), count)
+            key = np.where(split[part], pts[np.arange(n), dim[part]], 0.0)
+            order = np.lexsort((key, part))
+            pts, id_arr = pts[order], id_arr[order]
+            end = np.sort(np.r_[end, (start + count // 2)[split]])
 
-        # leaves are split off left to right, so their ranges tile the points
-        end, centroid, radius = map(np.array, zip(*leaves))
-        start = np.r_[0, end[:-1]]
-        rows = start[:, None] + np.arange((end - start).max())
+        centroid = np.add.reduceat(pts, start) / count[:, None]
+        radius = np.maximum.reduceat(_distances(pts, np.repeat(centroid, count, axis=0)), start)
+        rows = start[:, None] + np.arange(count.max())
         real = rows < end[:, None]
         rows = np.where(real, rows, 0)
         self.table = LeafTable(np.where(real[:, :, None], pts[rows], np.inf),
                                np.where(real, id_arr[rows], _NO_ID),
                                centroid, radius, [len(end)])
-
-    def _split(self, pts: np.ndarray, ids: np.ndarray, start: int, end: int,
-               leaves: list[tuple[int, np.ndarray, float]]) -> None:
-        """Reorder rows start:end in place into leaves, splitting at the
-        median of the dimension of maximum spread; append each leaf's end
-        row, centroid and radius, left to right."""
-        seg = pts[start:end]
-        if end - start <= self.leaf_size:
-            centroid = seg.mean(axis=0)
-            leaves.append((end, centroid, float(_distances(seg, centroid).max())))
-            return
-        dim = int(np.argmax(seg.max(axis=0) - seg.min(axis=0)))
-        mid = start + (end - start) // 2
-        order = np.argpartition(seg[:, dim], mid - start)
-        pts[start:end] = seg[order]
-        ids[start:end] = ids[start:end][order]
-        self._split(pts, ids, start, mid, leaves)
-        self._split(pts, ids, mid, end, leaves)
 
     @property
     def leaf_count(self) -> int:

@@ -215,17 +215,37 @@ def table_rows(table, g=0):
     return [(table.ids[k][real[k - lo]], table.points[k][real[k - lo]]) for k in range(lo, hi)]
 
 
+def median_split_leaves(pts, ids, leaf_size):
+    """Recursive oracle of the build: a part of more than leaf_size points
+    splits at the median of its dimension of maximum spread (the first on
+    ties), its len // 2 smallest keys going left. Returns the leaves' id
+    sets, left part first."""
+    if len(pts) <= leaf_size:
+        return [set(ids.tolist())]
+    dim = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+    order = np.argsort(pts[:, dim], kind="stable")
+    left, right = order[:len(pts) // 2], order[len(pts) // 2:]
+    return (median_split_leaves(pts[left], ids[left], leaf_size)
+            + median_split_leaves(pts[right], ids[right], leaf_size))
+
+
 def test_leaves_tile_the_points_sweep():
     """The leaves are the whole tree: for every size and leaf size each id
-    sits in exactly one leaf, with its own point, inside that leaf's ball."""
+    sits in exactly one leaf, with its own point, inside that leaf's ball.
+    With distinct coordinates the split is unique, so the leaves are the
+    recursive oracle's, in its order: an exact search cannot see a wrong
+    split dimension or median, which only makes it scan more leaves."""
     rng = np.random.default_rng(42)
     sizes = [1, 2, 3, 33, 2000] + sorted(rng.integers(4, 2000, size=6).tolist())
     for n in sizes:
         pts = random_instance(rng, n)
         ids = rng.permutation(5 * n)[:n]
+        assert all(len(np.unique(col)) == n for col in pts.T)
         for leaf_size in (1, 2, 7, 32, n):
             tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
             rows = table_rows(tree.table)
+            assert ([set(leaf_ids.tolist()) for leaf_ids, _ in rows]
+                    == median_split_leaves(pts, ids, leaf_size))
             assert tree.n_points == n
             assert tree.leaf_count == len(rows) == len(tree.table.radius)
             assert all(1 <= len(leaf_ids) <= leaf_size for leaf_ids, _ in rows)
@@ -235,6 +255,22 @@ def test_leaves_tile_the_points_sweep():
             got_pts = np.concatenate([leaf_pts for _, leaf_pts in rows])
             assert np.array_equal(got_pts, pts[[row_of[pid] for pid in got_ids.tolist()]])
             assert tree.containment_slack() <= 0.0
+
+
+def test_tied_lattice_splits_at_the_median_row():
+    """On a 3^5 grid with repeated points every median is tied, so which
+    tied point goes left is free, but each part still splits at its median
+    row: the leaf sizes, in order, are the oracle's."""
+    rng = np.random.default_rng(44)
+    grid = np.stack(np.meshgrid(*[np.arange(3.0)] * 5, indexing="ij"), axis=-1).reshape(-1, 5)
+    pts = np.concatenate([grid, grid[rng.integers(0, len(grid), size=120)]])
+    pts = pts[rng.permutation(len(pts))]
+    ids = rng.permutation(len(pts))
+    for leaf_size in (1, 2, 7, 32):
+        tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
+        assert ([len(leaf_ids) for leaf_ids, _ in table_rows(tree.table)]
+                == [len(leaf) for leaf in median_split_leaves(pts, ids, leaf_size)])
+        assert tree.containment_slack() <= 0.0
 
 
 def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
@@ -344,6 +380,21 @@ def test_input_validation():
 def test_build_does_not_mutate_input():
     rng = np.random.default_rng(38)
     pts = random_instance(rng, 128)
-    snapshot = pts.copy()
-    BallTree(pts, leaf_size=4)
+    ids = rng.permutation(1000)[:128].astype(np.int64)
+    snapshot, id_snapshot = pts.copy(), ids.copy()
+    BallTree(pts, ids=ids, leaf_size=4)
     assert np.array_equal(pts, snapshot)
+    assert np.array_equal(ids, id_snapshot)
+    # the table owns its arrays, whether the build reordered rows or not:
+    # overwriting the caller's arrays afterwards changes neither it nor an answer
+    queries = rng.uniform(-1.5, 1.5, size=(20, 5))
+    for leaf_size in (128, 4):
+        pts, ids = snapshot.copy(), id_snapshot.copy()
+        table = BallTree(pts, ids=ids, leaf_size=leaf_size).table
+        arrays = [a.copy() for a in (table.points, table.ids, table.centroid, table.radius)]
+        answers = table.nearest(queries)
+        pts[:], ids[:] = -pts, -ids
+        for a, b in zip(arrays, (table.points, table.ids, table.centroid, table.radius)):
+            assert np.array_equal(a, b)
+        for a, b in zip(answers, table.nearest(queries)):
+            assert np.array_equal(a, b)

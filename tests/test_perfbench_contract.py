@@ -40,6 +40,18 @@ def test_tune_small_setup_gate_and_tracer(monkeypatch):
     assert {"classifier.train", "embedding.embed_arrays", "index.BallTree.__init__"} <= names
 
 
+def test_batch_large_setup_and_gate(monkeypatch):
+    """The only tier-1 run of per-port trees at about 9k points (512 leaves,
+    nine levels of splits) and of the benchmark's own tree == brute gate on
+    them."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    wl = load("workloads").WORKLOADS["batch-large"](0)
+    st = wl.setup()
+    assert st.rejected == 0
+    assert st.model.table.counts.min() >= 256
+    assert wl.gate(st).startswith("tree==brute on ")
+
+
 def test_traced_tune_small_run_reports_every_layer_metric(monkeypatch, tmp_path, capsys):
     """One traced run, in process: the per-layer metrics read the model's
     trees and the index's scan counts, which only this path reaches."""
