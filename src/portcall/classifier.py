@@ -25,7 +25,7 @@ import numpy as np
 
 from .embedding import FeatureWeights, embed_arrays
 from .geo import angular_diff_deg, great_circle_km
-from .index import BallTree, DEFAULT_LEAF_SIZE, LeafTable
+from .index import BallTree, DEFAULT_LEAF_SIZE, LeafTable, stack
 from .routes import Route, RoutePoint
 
 # the speed and distance-from-departure differences that count as "large" (capped at 1)
@@ -145,10 +145,8 @@ def train(routes: list[Route], params: ModelParams) -> Model:
         tree = BallTree(embed_points(pts, params.weights), ids=[p.point_id for p in pts],
                         leaf_size=DEFAULT_LEAF_SIZE)
         per_port[port] = PortIndex(tree=tree, points={p.point_id: p for p in pts})
-    table = LeafTable.stack([ix.tree.table for ix in per_port.values()])
-    for g, ix in enumerate(per_port.values()):
-        ix.tree.table = table.group(g)  # one copy of the leaves, shared
-    return Model(params=params, per_port=per_port, table=table)
+    return Model(params=params, per_port=per_port,
+                 table=stack([ix.tree for ix in per_port.values()]))
 
 
 def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:

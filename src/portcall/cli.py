@@ -27,7 +27,7 @@ import numpy as np
 from .classifier import ModelParams, embed_points, train
 from .embedding import FeatureWeights, embed_arrays
 from .evaluation import SyntheticConfig, gen_synthetic, replay_route, score_dataset, scores_csv
-from .index import BallTree, brute_nearest
+from .index import BallTree, _check_points, _scan
 from .ingest import format_timestamp, load_ais_csv
 from .params import format_params, load_params
 from .routes import Route, enrich_route, partition_routes
@@ -172,8 +172,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.queries < 1 or args.seed < 0:
         raise CliError("--queries must be >= 1 and --seed >= 0")
     pts = [p for route in _load_routes(args.train, labeled=True) for p in route.points]
-    points = embed_points(pts, FeatureWeights())
-    ids = np.array([p.point_id for p in pts], dtype=np.int64)
+    # checked once here, so the brute arm times only its scan
+    points, ids = _check_points(embed_points(pts, FeatureWeights()), [p.point_id for p in pts])
     rng = np.random.default_rng(args.seed)
     queries = embed_arrays(rng.uniform(-60.0, 60.0, args.queries),
                            rng.uniform(-180.0, 180.0, args.queries),
@@ -183,7 +183,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tree = BallTree(points, ids=ids)
     # a scan builds nothing, so the brute arm's build time is 0
     arms = {"balltree": (time.perf_counter() - t0, tree.nearest),
-            "brute": (0.0, lambda q: brute_nearest(points, q, ids=ids))}
+            "brute": (0.0, lambda q: _scan(points, ids, q))}
     answers, report = [], []
     for name, (build_s, nearest) in arms.items():
         t0 = time.perf_counter()

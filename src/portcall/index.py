@@ -7,16 +7,16 @@ distance comes from one function, so the two agree bit for bit.
 
 The tree is only its leaves. The build splits one level at a time, every
 part at once at the median of its dimension of maximum spread, until each
-part holds at most ``leaf_size`` points, and keeps the leaves as a padded
-leaf table with each leaf's centroid and radius. One numpy kernel answers a
-block of queries against the flat leaf list of one or many trees: it takes
-every (query, leaf) centroid distance once, from one matrix product, and
-widens every radius by a slack that covers that product's rounding. It
-bounds each leaf from below by its centroid distance minus the widened
-radius and each tree from above by its least centroid distance plus widened
-radius, then scans every leaf whose bound is ``<=`` its tree's upper bound,
-so equal-distance candidates are reached. The scan computes every returned
-distance exactly as the linear scan does.
+part holds at most ``leaf_size`` points; one array of row edges, ``[0, ...,
+n]``, holds the parts. The leaves are kept as a padded table with each
+leaf's centroid and radius, and ``stack`` lays many trees' leaves into one.
+One numpy kernel answers a block of queries against the leaves of one or
+many trees: it takes every (query, leaf) centroid distance once, from one
+matrix product, and widens every radius by a slack that covers its
+rounding. It bounds each leaf from below by its centroid distance minus the
+widened radius and each tree from above by its least centroid distance plus
+widened radius, then scans every leaf whose bound is ``<=`` its tree's
+upper bound, so equal-distance candidates are reached.
 """
 
 from __future__ import annotations
@@ -88,6 +88,11 @@ def brute_nearest(points: np.ndarray, q: np.ndarray,
     if q.shape != pts.shape[1:]:
         raise ValueError("query must be one vector of the points' width")
     _sq_norms(q, "query")
+    return _scan(pts, id_arr, q)
+
+
+def _scan(pts: np.ndarray, id_arr: np.ndarray, q: np.ndarray) -> tuple[int, float]:
+    """brute_nearest on points, ids and a query it has already checked."""
     d = _distances(pts, q)
     best = d.min()
     return int(id_arr[d == best].min()), float(best)
@@ -121,25 +126,6 @@ class LeafTable:
         c_sq = np.einsum("ij,ij->i", self.centroid, self.centroid)
         return (np.ascontiguousarray(-2.0 * self.centroid.T), c_sq,
                 max(math.sqrt(c_sq.max()), NORM_FLOOR))
-
-    @classmethod
-    def stack(cls, tables: Sequence["LeafTable"]) -> "LeafTable":
-        """One table holding the groups of every table, in order."""
-        n, size = sum(len(t.radius) for t in tables), max(t.points.shape[1] for t in tables)
-        points, ids = np.full((n, size, 5), np.inf), np.full((n, size), _NO_ID)
-        lo = 0
-        for t in tables:
-            hi, width = lo + len(t.radius), t.points.shape[1]
-            points[lo:hi, :width], ids[lo:hi, :width] = t.points, t.ids
-            lo = hi
-        return cls(points, ids, *(np.concatenate([getattr(t, name) for t in tables])
-                                  for name in ("centroid", "radius", "counts")))
-
-    def group(self, g: int) -> "LeafTable":
-        """Group ``g`` alone, sharing this table's arrays."""
-        lo, hi = self.offsets[g], self.offsets[g] + self.counts[g]
-        return LeafTable(self.points[lo:hi], self.ids[lo:hi], self.centroid[lo:hi],
-                         self.radius[lo:hi], self.counts[g:g + 1])
 
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact nearest point of every group to every query row.
@@ -226,9 +212,9 @@ class BallTree:
     all the query kernel reads. The build splits level by level: every part
     of more than ``leaf_size`` points is sorted, stably, on its dimension of
     maximum spread (the first on ties) and split at its median row. Every
-    point lies inside its leaf's ball. Training rebinds ``table`` once,
-    before any query, to its group of the model's table; nothing changes
-    after that, so concurrent queries are safe.
+    point lies inside its leaf's ball. Training's ``stack`` rebinds
+    ``table`` once, before any query, to its group of the model's table;
+    nothing changes after that, so concurrent queries are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: Sequence[int] | None = None,
@@ -241,28 +227,27 @@ class BallTree:
         self.leaf_size = leaf_size
         self.n_points = n = len(pts)
         # parts are contiguous row ranges; parts left whole sort on key 0
-        end = np.array([n])
+        edges = np.array([0, n])
         while True:
-            start = np.r_[0, end[:-1]]
-            count = end - start
+            start, count = edges[:-1], np.diff(edges)
             split = count > leaf_size
             if not split.any():
                 break
             dim = (np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)).argmax(axis=1)
-            part = np.repeat(np.arange(len(end)), count)
+            part = np.repeat(np.arange(len(count)), count)
             key = np.where(split[part], pts[np.arange(n), dim[part]], 0.0)
             order = np.lexsort((key, part))
             pts, id_arr = pts[order], id_arr[order]
-            end = np.sort(np.r_[end, (start + count // 2)[split]])
+            edges = np.sort(np.concatenate([edges, (start + count // 2)[split]]))
 
         centroid = np.add.reduceat(pts, start) / count[:, None]
         radius = np.maximum.reduceat(_distances(pts, np.repeat(centroid, count, axis=0)), start)
         rows = start[:, None] + np.arange(count.max())
-        real = rows < end[:, None]
+        real = rows < edges[1:, None]
         rows = np.where(real, rows, 0)
         self.table = LeafTable(np.where(real[:, :, None], pts[rows], np.inf),
                                np.where(real, id_arr[rows], _NO_ID),
-                               centroid, radius, [len(end)])
+                               centroid, radius, [len(count)])
 
     @property
     def leaf_count(self) -> int:
@@ -282,3 +267,19 @@ class BallTree:
         t = self.table
         slack = _distances(t.points, t.centroid[:, None, :]) - t.radius[:, None]
         return float(slack[np.isfinite(t.points[:, :, 0])].max())
+
+
+def stack(trees: Sequence[BallTree]) -> LeafTable:
+    """One table of every tree's leaves, a group per tree in order. Rebinds
+    each tree's ``table`` to a view of its group: the leaves are held once."""
+    tables = [tree.table for tree in trees]
+    counts = [len(t.radius) for t in tables]
+    shape = (sum(counts), max(t.ids.shape[1] for t in tables))
+    table = LeafTable(np.full((*shape, 5), np.inf), np.full(shape, _NO_ID),
+                      np.concatenate([t.centroid for t in tables]),
+                      np.concatenate([t.radius for t in tables]), counts)
+    for tree, t, lo, hi in zip(trees, tables, table.offsets, np.cumsum(counts)):
+        points, ids = table.points[lo:hi], table.ids[lo:hi]
+        points[:, :t.ids.shape[1]], ids[:, :t.ids.shape[1]] = t.points, t.ids
+        tree.table = LeafTable(points, ids, table.centroid[lo:hi], table.radius[lo:hi], t.counts)
+    return table

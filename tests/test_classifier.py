@@ -20,6 +20,7 @@ from portcall.geo import EARTH_RADIUS_KM, great_circle_km
 from portcall.index import brute_nearest
 from portcall.ingest import AIS_HEADER, AisRecord, parse_ais_csv
 from portcall.routes import RoutePoint, enrich_route, partition_routes
+from tests.test_geo import oracle_great_circle_km
 
 
 def make_record(ship="SHIP_A", lon=0.0, lat=0.0, ts=1000, dep="ALFA",
@@ -188,6 +189,71 @@ def test_similarity_monotone_in_each_penalty():
         lo = similarity(q, c, ModelParams(**{field: 0.5}))
         hi = similarity(q, c, ModelParams(**{field: 2.0}))
         assert hi >= lo
+
+
+def oracle_angle_deg(a, b):
+    """The unsigned angle between two directions, from their unit vectors."""
+    d = math.radians(a - b)
+    return abs(math.degrees(math.atan2(math.sin(d), math.cos(d))))
+
+
+def oracle_similarity(q, c, p_course, p_heading, p_speed, p_dist):
+    """The similarity formula written out again: the great-circle distance
+    times one (1 + penalty * difference) factor per attribute, the course
+    falling back to the bearing, a missing heading adding nothing, and the
+    speed and distance differences capped at 50 kn and 100 km."""
+    course = [p.bearing_deg if p.record.course_deg is None else p.record.course_deg
+              for p in (q, c)]
+    headings = (q.record.heading_deg, c.record.heading_deg)
+    d_heading = 0.0 if None in headings else oracle_angle_deg(*headings) / 180.0
+    return (oracle_great_circle_km(q.record.lat_deg, q.record.lon_deg,
+                                   c.record.lat_deg, c.record.lon_deg)
+            * (1.0 + p_course * oracle_angle_deg(*course) / 180.0)
+            * (1.0 + p_heading * d_heading)
+            * (1.0 + p_speed * min(abs(q.record.speed_knots - c.record.speed_knots) / 50.0, 1.0))
+            * (1.0 + p_dist * min(abs(q.dist_from_departure_km
+                                      - c.dist_from_departure_km) / 100.0, 1.0)))
+
+
+def test_similarity_matches_oracle_sweep():
+    """2,000 seeded (query, candidate) pairs anywhere on the globe, a quarter
+    of them near a pole and a quarter across the antimeridian, with missing
+    courses and headings on either side, speed and distance differences on
+    both sides of their caps, and penalties in [0, 10], a fifth of them 0."""
+    rng = np.random.default_rng(47)
+    seen = dict.fromkeys(("pole", "antimeridian", "no course", "no q heading",
+                          "no c heading", "speed cap", "dist cap", "zero penalty"), 0)
+
+    def draw_point(lat, lon):
+        record = make_record(lat=lat, lon=lon,
+                             course=None if rng.random() < 0.2 else rng.uniform(0.0, 360.0),
+                             heading=None if rng.random() < 0.25 else rng.uniform(0.0, 360.0),
+                             speed=rng.uniform(0.0, 120.0))
+        return RoutePoint(point_id=0, record=record, bearing_deg=rng.uniform(0.0, 360.0),
+                          dist_from_departure_km=rng.uniform(0.0, 300.0))
+
+    for k in range(2000):
+        lat, lon = rng.uniform(-90.0, 90.0, size=2), rng.uniform(-180.0, 180.0, size=2)
+        if k % 4 == 1:
+            lat = rng.choice([-1.0, 1.0]) * rng.uniform(89.0, 90.0, size=2)
+            seen["pole"] += 1
+        elif k % 4 == 2:
+            lon = np.array([rng.uniform(170.0, 180.0), rng.uniform(-180.0, -170.0)])
+            seen["antimeridian"] += 1
+        q, c = (draw_point(a, b) for a, b in zip(lat.tolist(), lon.tolist()))
+        penalties = np.where(rng.random(4) < 0.2, 0.0, rng.uniform(0.0, 10.0, size=4)).tolist()
+        seen["no course"] += q.record.course_deg is None or c.record.course_deg is None
+        seen["no q heading"] += q.record.heading_deg is None
+        seen["no c heading"] += c.record.heading_deg is None
+        seen["speed cap"] += abs(q.record.speed_knots - c.record.speed_knots) > 50.0
+        seen["dist cap"] += abs(q.dist_from_departure_km - c.dist_from_departure_km) > 100.0
+        seen["zero penalty"] += 0.0 in penalties
+        params = ModelParams(**dict(zip(("p_course", "p_heading", "p_speed", "p_dist"), penalties)))
+        assert similarity(q, c, params) == pytest.approx(oracle_similarity(q, c, *penalties),
+                                                          rel=1e-6, abs=1e-9)
+    # every case the docstring names came up often, and so did the uncapped differences
+    assert min(seen.values()) >= 200
+    assert seen["speed cap"] <= 1800 and seen["dist cap"] <= 1800
 
 
 def earliest_strict_longest_run(history):

@@ -535,15 +535,15 @@ def test_bench_gate_and_report(tmp_path, tiny_train, capsys):
 
 
 def test_bench_gate_failure_prints_no_timing(tiny_train, capsys, monkeypatch):
-    real = cli.brute_nearest
+    real = cli._scan
     calls = []
 
-    def brute_off_on_third_query(points, q, ids=None):
+    def brute_off_on_third_query(points, ids, q):
         calls.append(q)
-        best_id, best_d = real(points, q, ids=ids)
+        best_id, best_d = real(points, ids, q)
         return (best_id + 1 if len(calls) == 3 else best_id), best_d
 
-    monkeypatch.setattr(cli, "brute_nearest", brute_off_on_third_query)
+    monkeypatch.setattr(cli, "_scan", brute_off_on_third_query)
     assert main(["bench", "--train", str(tiny_train), "--queries", "5", "--seed", "1"]) == 1
     got = capsys.readouterr()
     assert got.err == "error: correctness gate failed: structures disagree\n"
@@ -554,13 +554,13 @@ def test_bench_gate_failure_prints_no_timing(tiny_train, capsys, monkeypatch):
 def test_bench_gate_rejects_distance_one_ulp_off(tiny_train, capsys, monkeypatch):
     """The tree and the scan agree bit for bit, so the gate compares exactly:
     the right id at a distance one ulp away is a disagreement."""
-    real = cli.brute_nearest
+    real = cli._scan
 
-    def brute_one_ulp_far(points, q, ids=None):
-        best_id, best_d = real(points, q, ids=ids)
+    def brute_one_ulp_far(points, ids, q):
+        best_id, best_d = real(points, ids, q)
         return best_id, float(np.nextafter(best_d, np.inf))
 
-    monkeypatch.setattr(cli, "brute_nearest", brute_one_ulp_far)
+    monkeypatch.setattr(cli, "_scan", brute_one_ulp_far)
     assert main(["bench", "--train", str(tiny_train), "--queries", "5", "--seed", "1"]) == 1
     got = capsys.readouterr()
     assert got.err == "error: correctness gate failed: structures disagree\n"

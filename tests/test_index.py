@@ -7,7 +7,7 @@ import pytest
 
 from portcall import classifier
 from portcall.classifier import ModelParams, embed_points, train
-from portcall.index import BLOCK_BYTES, BallTree, LeafTable, brute_nearest
+from portcall.index import BLOCK_BYTES, BallTree, brute_nearest, stack
 from portcall.tuner import split_routes
 
 
@@ -115,9 +115,8 @@ def test_ties_and_duplicates_match_brute_sweep():
         ports = [(pts, ids), lattice_points(rng, 1), lattice_points(rng, int(rng.integers(2, 8))),
                  lattice_points(rng, int(rng.integers(300, 600))), same]
         for leaf_size in (1, 4, 32):
-            table = LeafTable.stack([BallTree(p, ids=i, leaf_size=leaf_size).table
-                                     for p, i in ports])
-            assert (table.group(len(ports) - 1).radius == 0.0).all()
+            table = stack([BallTree(p, ids=i, leaf_size=leaf_size) for p, i in ports])
+            assert (table.radius[table.offsets[-1]:] == 0.0).all()
             got_ids, got_d, scanned = table.nearest(queries)
             for g, (p, i) in enumerate(ports):
                 assert ((1 <= scanned[:, g]) & (scanned[:, g] <= table.counts[g])).all()
@@ -151,7 +150,7 @@ def test_clustered_near_ties_match_brute_sweep():
 
 def test_leaf_table_rejects_block_with_one_non_finite_query():
     trees = [BallTree(np.eye(5)), BallTree(-np.eye(5), leaf_size=2)]
-    table = LeafTable.stack([t.table for t in trees])
+    table = stack(trees)
     for bad in (np.nan, np.inf, -np.inf):
         queries = np.zeros((7, 5))
         queries[4, 2] = bad
@@ -281,10 +280,11 @@ def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
     model = train(canonical_routes, ModelParams())
     assert len(model.per_port) > 1
     for g, ix in enumerate(model.per_port.values()):
-        group, tree_table = model.table.group(g), ix.tree.table
-        assert np.shares_memory(tree_table.points, model.table.points)
+        lo, hi = model.table.offsets[g], model.table.offsets[g] + model.table.counts[g]
+        group = ix.tree.table
+        assert np.shares_memory(group.points, model.table.points)
         for name in ("points", "ids", "centroid", "radius"):
-            assert np.array_equal(getattr(tree_table, name), getattr(group, name))
+            assert np.array_equal(getattr(group, name), getattr(model.table, name)[lo:hi])
         pts = list(ix.points.values())
         alone = BallTree(embed_points(pts, model.params.weights),
                          ids=[p.point_id for p in pts], leaf_size=8).table

@@ -64,3 +64,19 @@ def test_traced_tune_small_run_reports_every_layer_metric(monkeypatch, tmp_path,
     assert result["correct"] is True
     spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
     assert set(result["metrics"]) == {m["name"] for m in spec["per_layer"]}
+
+
+def test_untraced_tune_small_run_reports_every_end_to_end_metric(monkeypatch, tmp_path, capsys):
+    """One untraced run, in process, as the benchmark measures it: only this
+    path reaches ``measure()``, the gauge scaling and the fix latencies."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = load("run")
+    monkeypatch.setattr(run, "RESULTS", tmp_path)
+    assert run.run("tune-small", 0, 1, False) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["ok_ops_ratio"]["value"] == 1.0
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert set(result["metrics"]) == {m["name"] for m in spec["end_to_end"]}
