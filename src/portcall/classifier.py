@@ -1,16 +1,16 @@
 """Destination-port and arrival-time prediction.
 
-Training builds one ball tree per arrival port over the embeddings of every
-route point that ends there, and stacks their leaves into one table in port
-order. Classifying a block of consecutive points of one route asks the table
-for every port's exact nearest point to each point in one kernel call,
-re-ranks those candidates with a similarity function (great-circle distance
-scaled by penalty factors for course, heading, speed and
-distance-from-departure differences; lower is more similar), and takes the
-winner's port and precomputed remaining time. To damp flip-flopping between
-ports along one query route, the emitted port is the value of the longest
-run of identical raw predictions seen so far. A streamed point is a block of
-one, so streaming and batch replay share one code path.
+Training builds one ball tree over the embeddings of every route point, its
+first level split by arrival port, so its leaf table holds one group of
+leaves per port in port order. Classifying a block of consecutive points of
+one route asks the table for every port's exact nearest point to each point
+in one kernel call, re-ranks those candidates with a similarity function
+(great-circle distance scaled by penalty factors for course, heading, speed
+and distance-from-departure differences; lower is more similar), and takes
+the winner's port and precomputed remaining time. To damp flip-flopping
+between ports along one query route, the emitted port is the value of the
+longest run of identical raw predictions seen so far. A streamed point is a
+block of one, so streaming and batch replay share one code path.
 
 Every argmin is totally ordered (similarity, then point id), so sequential
 and parallel runs, and blocks of any size, emit identical predictions.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .embedding import FeatureWeights, embed_arrays
 from .geo import angular_diff_deg, great_circle_km
-from .index import BallTree, DEFAULT_LEAF_SIZE, LeafTable, stack
+from .index import BallTree, DEFAULT_LEAF_SIZE, LeafTable
 from .routes import Route, RoutePoint
 
 # the speed and distance-from-departure differences that count as "large" (capped at 1)
@@ -58,14 +58,14 @@ class ModelParams:
 
 @dataclass
 class PortIndex:
-    tree: BallTree
+    tree: BallTree  # a view of the port's group of Model.table, for readers outside the hot path
     points: dict[int, RoutePoint]
 
 
 @dataclass
 class Model:
     params: ModelParams
-    per_port: dict[str, PortIndex]
+    per_port: dict[str, PortIndex]  # classify_points reads only its points and order
     table: LeafTable  # every port's leaves, one group per port in port order
 
     @property
@@ -125,8 +125,8 @@ def embed_points(points: list[RoutePoint], weights: FeatureWeights) -> np.ndarra
 
 
 def train(routes: list[Route], params: ModelParams) -> Model:
-    """Build the per-arrival-port ball trees and their stacked leaf table
-    from enriched labeled routes."""
+    """Build the model from enriched labeled routes: one ball tree whose
+    groups are the arrival ports, in order, and a view of each as its tree."""
     labeled = [r for r in routes if r.arrival_port is not None]
     if not labeled:
         raise ValueError("training requires at least one labeled route")
@@ -139,14 +139,13 @@ def train(routes: list[Route], params: ModelParams) -> Model:
                              "its points lack remaining_time_s")
         by_port.setdefault(route.arrival_port, []).extend(route.points)
 
-    per_port: dict[str, PortIndex] = {}
-    for port in sorted(by_port):
-        pts = by_port[port]
-        tree = BallTree(embed_points(pts, params.weights), ids=[p.point_id for p in pts],
-                        leaf_size=DEFAULT_LEAF_SIZE)
-        per_port[port] = PortIndex(tree=tree, points={p.point_id: p for p in pts})
-    return Model(params=params, per_port=per_port,
-                 table=stack([ix.tree for ix in per_port.values()]))
+    ports = sorted(by_port)
+    pts = [p for port in ports for p in by_port[port]]
+    tree = BallTree(embed_points(pts, params.weights), ids=[p.point_id for p in pts],
+                    leaf_size=DEFAULT_LEAF_SIZE, sizes=[len(by_port[port]) for port in ports])
+    per_port = {port: PortIndex(tree=view, points={p.point_id: p for p in by_port[port]})
+                for port, view in zip(ports, tree.groups())}
+    return Model(params=params, per_port=per_port, table=tree.table)
 
 
 def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:

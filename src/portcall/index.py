@@ -8,19 +8,21 @@ distance comes from one function, so the two agree bit for bit.
 The tree is only its leaves. The build splits one level at a time, every
 part at once at the median of its dimension of maximum spread, until each
 part holds at most ``leaf_size`` points; one array of row edges, ``[0, ...,
-n]``, holds the parts. The leaves are kept as a padded table with each
-leaf's centroid and radius, and ``stack`` lays many trees' leaves into one.
-One numpy kernel answers a block of queries against the leaves of one or
-many trees: it takes every (query, leaf) centroid distance once, from one
-matrix product, and widens every radius by a slack that covers its
-rounding. It bounds each leaf from below by its centroid distance minus the
-widened radius and each tree from above by its least centroid distance plus
-widened radius, then scans every leaf whose bound is ``<=`` its tree's
-upper bound, so equal-distance candidates are reached.
+n]``, holds the parts, and the first level's may be groups of rows (the
+ports), so one split builds many trees. The leaves are kept as a padded
+table, a group per tree, with each leaf's centroid and radius. One numpy
+kernel answers a block of queries against them all: it takes every (query,
+leaf) centroid distance once, from one matrix product, and widens every
+radius by a slack that covers its rounding. It bounds each leaf from below
+by its centroid distance minus the widened radius and each tree from above
+by its least centroid distance plus widened radius, then scans every leaf
+whose bound is ``<=`` its tree's upper bound, so equal-distance candidates
+are reached.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import cached_property
 from typing import Sequence
@@ -62,12 +64,9 @@ def _check_points(points: np.ndarray, ids: Sequence[int] | None) -> tuple[np.nda
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
     _sq_norms(pts, "points")
-    if ids is None:
-        id_arr = np.arange(pts.shape[0], dtype=np.int64)
-    else:
-        id_arr = np.asarray(ids, dtype=np.int64)
-        if id_arr.shape != (pts.shape[0],):
-            raise ValueError("ids must align with points")
+    id_arr = np.arange(len(pts), dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
+    if id_arr.shape != (len(pts),):
+        raise ValueError("ids must align with points")
     return pts, id_arr
 
 
@@ -122,7 +121,7 @@ class LeafTable:
         """The centroid terms of the leaf bounds: ``-2 * centroid.T`` as a
         contiguous (5, L), each centroid's squared norm, and the largest
         centroid norm floored at NORM_FLOOR. Made on the first query, so the
-        per-port tables that training stacks and drops never pay for them."""
+        views of ``BallTree.groups``, read off the hot path, pay only when queried."""
         c_sq = np.einsum("ij,ij->i", self.centroid, self.centroid)
         return (np.ascontiguousarray(-2.0 * self.centroid.T), c_sq,
                 max(math.sqrt(c_sq.max()), NORM_FLOOR))
@@ -209,16 +208,17 @@ class LeafTable:
 class BallTree:
     """Exact nearest-neighbor ball tree over a fixed point set, kept as its
     leaves: ``table`` holds their points, ids, centroid and radius, which is
-    all the query kernel reads. The build splits level by level: every part
-    of more than ``leaf_size`` points is sorted, stably, on its dimension of
-    maximum spread (the first on ties) and split at its median row. Every
-    point lies inside its leaf's ball. Training's ``stack`` rebinds
-    ``table`` once, before any query, to its group of the model's table;
-    nothing changes after that, so concurrent queries are safe.
+    all the query kernel reads. The build splits level by level, from the
+    consecutive row groups of ``sizes`` (by default one of every row): every
+    part of more than ``leaf_size`` points is sorted, stably, on its dimension
+    of maximum spread (the first on ties) and split at its median row. No
+    part spans two groups, so each group holds, bit for bit, the leaves of a
+    tree on its rows alone, which ``groups()`` returns. Every point lies
+    inside its leaf's ball. Immutable; concurrent queries are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: Sequence[int] | None = None,
-                 leaf_size: int = DEFAULT_LEAF_SIZE):
+                 leaf_size: int = DEFAULT_LEAF_SIZE, sizes: Sequence[int] | None = None):
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         pts, id_arr = _check_points(points, ids)
@@ -226,8 +226,12 @@ class BallTree:
             raise ValueError("BallTree indexes 5-D feature vectors")
         self.leaf_size = leaf_size
         self.n_points = n = len(pts)
-        # parts are contiguous row ranges; parts left whole sort on key 0
-        edges = np.array([0, n])
+        # an empty group would make the kernel's reduceat read its neighbour's leaves
+        sizes = np.array([n] if sizes is None else sizes, dtype=np.int64)
+        if sizes.ndim != 1 or not (sizes > 0).all() or sizes.sum() != n:
+            raise ValueError("sizes must be positive and sum to the number of points")
+        # parts are contiguous row ranges, at first the groups; parts left whole sort on key 0
+        first = edges = np.concatenate([[0], np.cumsum(sizes)])
         while True:
             start, count = edges[:-1], np.diff(edges)
             split = count > leaf_size
@@ -236,30 +240,41 @@ class BallTree:
             dim = (np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)).argmax(axis=1)
             part = np.repeat(np.arange(len(count)), count)
             key = np.where(split[part], pts[np.arange(n), dim[part]], 0.0)
-            order = np.lexsort((key, part))
+            # complex numbers sort on the real part, then the imaginary; both hold exactly
+            order = np.argsort(part + 1j * key, kind="stable")
             pts, id_arr = pts[order], id_arr[order]
+            del part, key, order  # so the next level and the steps below do not hold them
             edges = np.sort(np.concatenate([edges, (start + count // 2)[split]]))
 
         centroid = np.add.reduceat(pts, start) / count[:, None]
         radius = np.maximum.reduceat(_distances(pts, np.repeat(centroid, count, axis=0)), start)
-        rows = start[:, None] + np.arange(count.max())
-        real = rows < edges[1:, None]
-        rows = np.where(real, rows, 0)
-        self.table = LeafTable(np.where(real[:, :, None], pts[rows], np.inf),
-                               np.where(real, id_arr[rows], _NO_ID),
-                               centroid, radius, [len(count)])
+        real = np.arange(count.max()) < count[:, None]  # leaves are consecutive rows
+        table_pts, table_ids = np.full((*real.shape, 5), np.inf), np.full(real.shape, _NO_ID)
+        table_pts[real], table_ids[real] = pts, id_arr
+        self.table = LeafTable(table_pts, table_ids, centroid, radius,
+                               np.diff(edges.searchsorted(first)))
 
     @property
     def leaf_count(self) -> int:
         return len(self.table.radius)
 
+    def groups(self) -> list[BallTree]:
+        """One tree per group, in order, each reading a view of its group."""
+        t, trees = self.table, [copy.copy(self) for _ in self.table.counts]
+        for tree, lo, hi in zip(trees, t.offsets, t.offsets + t.counts):
+            tree.table = LeafTable(t.points[lo:hi], t.ids[lo:hi], t.centroid[lo:hi],
+                                   t.radius[lo:hi], [hi - lo])
+            tree.n_points = int(np.isfinite(tree.table.points[:, :, 0]).sum())
+        return trees
+
     def nearest(self, q: np.ndarray) -> tuple[int, float]:
-        """Exact nearest point to q: (point_id, distance)."""
+        """Exact nearest point to q over every group: (point_id, distance)."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (5,):
             raise ValueError("query must be one 5-D feature vector")
         ids, dist, _ = self.table.nearest(q[None])
-        return int(ids[0, 0]), float(dist[0, 0])
+        best = dist.min()  # the least distance over the groups, then the least id at it
+        return int(ids[dist == best].min()), float(best)
 
     def containment_slack(self) -> float:
         """Max over points of (distance to its leaf's centroid - that leaf's
@@ -267,19 +282,3 @@ class BallTree:
         t = self.table
         slack = _distances(t.points, t.centroid[:, None, :]) - t.radius[:, None]
         return float(slack[np.isfinite(t.points[:, :, 0])].max())
-
-
-def stack(trees: Sequence[BallTree]) -> LeafTable:
-    """One table of every tree's leaves, a group per tree in order. Rebinds
-    each tree's ``table`` to a view of its group: the leaves are held once."""
-    tables = [tree.table for tree in trees]
-    counts = [len(t.radius) for t in tables]
-    shape = (sum(counts), max(t.ids.shape[1] for t in tables))
-    table = LeafTable(np.full((*shape, 5), np.inf), np.full(shape, _NO_ID),
-                      np.concatenate([t.centroid for t in tables]),
-                      np.concatenate([t.radius for t in tables]), counts)
-    for tree, t, lo, hi in zip(trees, tables, table.offsets, np.cumsum(counts)):
-        points, ids = table.points[lo:hi], table.ids[lo:hi]
-        points[:, :t.ids.shape[1]], ids[:, :t.ids.shape[1]] = t.points, t.ids
-        tree.table = LeafTable(points, ids, table.centroid[lo:hi], table.radius[lo:hi], t.counts)
-    return table

@@ -7,7 +7,7 @@ import pytest
 
 from portcall import classifier
 from portcall.classifier import ModelParams, embed_points, train
-from portcall.index import BLOCK_BYTES, BallTree, brute_nearest, stack
+from portcall.index import _NO_ID, BLOCK_BYTES, BallTree, brute_nearest
 from portcall.tuner import split_routes
 
 
@@ -93,13 +93,19 @@ def lattice_points(rng, n):
     return rng.integers(-1, 2, size=(n, 5)).astype(float), rng.permutation(10 * n)[:n]
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_ties_and_duplicates_match_brute_sweep():
     """Lattice points make exact distance ties and duplicate points common;
-    the tree, and a table stacking several trees, must pick the same smallest
-    id at the same distance as the linear scan, for every leaf size. The
-    stacked ports differ widely in size, so short groups and short leaves are
+    the tree, and a tree of several groups (ports), must pick the same
+    smallest id at the same distance as the linear scan, for every leaf size.
+    The ports differ widely in size, so short groups and short leaves are
     padded, one port is a single leaf of one point, and in one every point is
-    the same point, so its leaves have radius 0 and all its points tie."""
+    the same point, so its leaves have radius 0 and all its points tie. Each
+    group holds, bit for bit, the leaves of a tree built on its port alone,
+    and the grouped tree answers over every port."""
     rng = np.random.default_rng(39)
     for _ in range(40):
         n = int(rng.integers(1, 300))
@@ -114,14 +120,29 @@ def test_ties_and_duplicates_match_brute_sweep():
                 rng.permutation(10 * n_same)[:n_same])
         ports = [(pts, ids), lattice_points(rng, 1), lattice_points(rng, int(rng.integers(2, 8))),
                  lattice_points(rng, int(rng.integers(300, 600))), same]
+        all_pts, all_ids = (np.concatenate(cols) for cols in zip(*ports))
         for leaf_size in (1, 4, 32):
-            table = stack([BallTree(p, ids=i, leaf_size=leaf_size) for p, i in ports])
+            tree = BallTree(all_pts, ids=all_ids, leaf_size=leaf_size,
+                            sizes=[len(p) for p, _ in ports])
+            table = tree.table
             assert (table.radius[table.offsets[-1]:] == 0.0).all()
             got_ids, got_d, scanned = table.nearest(queries)
-            for g, (p, i) in enumerate(ports):
+            for g, ((p, i), view) in enumerate(zip(ports, tree.groups(), strict=True)):
                 assert ((1 <= scanned[:, g]) & (scanned[:, g] <= table.counts[g])).all()
                 for k, q in enumerate(queries):
                     assert (int(got_ids[k, g]), float(got_d[k, g])) == brute_nearest(p, q, i)
+                alone = BallTree(p, ids=i, leaf_size=leaf_size)
+                width = alone.table.ids.shape[1]
+                group = view.table
+                assert view.n_points == alone.n_points and view.leaf_count == alone.leaf_count
+                assert same_bits(group.points[:, :width], alone.table.points)
+                assert same_bits(group.ids[:, :width], alone.table.ids)
+                assert np.isinf(group.points[:, width:]).all()
+                assert (group.ids[:, width:] == _NO_ID).all()
+                assert same_bits(group.centroid, alone.table.centroid)
+                assert same_bits(group.radius, alone.table.radius)
+            for q in queries:
+                assert tree.nearest(q) == brute_nearest(all_pts, q, all_ids)
 
 
 def test_clustered_near_ties_match_brute_sweep():
@@ -149,13 +170,32 @@ def test_clustered_near_ties_match_brute_sweep():
 
 
 def test_leaf_table_rejects_block_with_one_non_finite_query():
-    trees = [BallTree(np.eye(5)), BallTree(-np.eye(5), leaf_size=2)]
-    table = stack(trees)
+    table = BallTree(np.concatenate([np.eye(5), -np.eye(5)]), leaf_size=2, sizes=[5, 5]).table
     for bad in (np.nan, np.inf, -np.inf):
         queries = np.zeros((7, 5))
         queries[4, 2] = bad
         with pytest.raises(ValueError):
             table.nearest(queries)
+
+
+def test_group_sizes_must_be_positive_and_cover_every_point():
+    for sizes in ([0, 5], [6, -1], [2, 2], [3, 3], [], [[5]]):
+        with pytest.raises(ValueError, match="sizes"):
+            BallTree(np.eye(5), sizes=sizes)
+    assert BallTree(np.eye(5), sizes=[1, 4]).table.counts.tolist() == [1, 1]
+
+
+def test_grouped_tree_nearest_answers_over_every_group():
+    """A tree of several groups answers over all its points, not its first
+    group's: here the nearest point sits in the last group, and a tie
+    across groups goes to the smaller id wherever it sits."""
+    pts = np.concatenate([np.eye(5), 2 * np.eye(5), [np.zeros(5)]])
+    ids = [10, 11, 12, 13, 14, 0, 1, 2, 3, 4, 20]
+    tree = BallTree(pts, ids=ids, leaf_size=2, sizes=[5, 5, 1])
+    assert tree.nearest(np.zeros(5)) == (20, 0.0)
+    assert tree.nearest(1.5 * np.eye(5)[2]) == (2, 0.5)
+    for q in np.random.default_rng(45).integers(-2, 3, size=(50, 5)) / 2.0:
+        assert tree.nearest(q) == brute_nearest(pts, q, ids)
 
 
 def test_single_query_counts_scanned_leaves():
@@ -273,9 +313,9 @@ def test_tied_lattice_splits_at_the_median_row():
 
 
 def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
-    """Training stacks every port's leaves into one table; each port's tree
-    reads its group of that table, and the group holds the leaves a tree
-    built on the port's points alone holds."""
+    """Training builds one tree whose groups are the ports, and its table is
+    the model's; each port's tree reads its group of that table, and the
+    group holds the leaves a tree built on the port's points alone holds."""
     monkeypatch.setattr(classifier, "DEFAULT_LEAF_SIZE", 8)
     model = train(canonical_routes, ModelParams())
     assert len(model.per_port) > 1

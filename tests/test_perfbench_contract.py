@@ -35,15 +35,17 @@ def test_tune_small_setup_gate_and_tracer(monkeypatch):
     with spans.Patches() as patches:
         tracer.install(patches, pc)
         pc.classifier.train(st.train, pc.ModelParams())
-    assert len(tracer.trees) == len(st.model.per_port)
+    (tree,) = tracer.trees  # one build a train, its groups the ports
+    assert sum(ix.tree.n_points for ix in st.model.per_port.values()) == tree.n_points
+    assert st.model.n_points == tree.n_points
     names = {s.name for s in tracer.spans}
     assert {"classifier.train", "embedding.embed_arrays", "index.BallTree.__init__"} <= names
 
 
 def test_batch_large_setup_and_gate(monkeypatch):
-    """The only tier-1 run of per-port trees at about 9k points (512 leaves,
-    nine levels of splits) and of the benchmark's own tree == brute gate on
-    them."""
+    """The only tier-1 run of the grouped build at about 9k points a port
+    (512 leaves a group, nine levels of splits below the ports) and of the
+    benchmark's own tree == brute gate on the per-port trees it yields."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     wl = load("workloads").WORKLOADS["batch-large"](0)
     st = wl.setup()
