@@ -18,6 +18,7 @@ and parallel runs, and blocks of any size, emit identical predictions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import isfinite
 
@@ -141,7 +142,13 @@ def train(routes: list[Route], params: ModelParams) -> Model:
 
     ports = sorted(by_port)
     pts = [p for port in ports for p in by_port[port]]
-    tree = BallTree(embed_points(pts, params.weights), ids=[p.point_id for p in pts],
+    ids = [p.point_id for p in pts]
+    # the port maps keep one point per id, the table every row: they must agree
+    if len(set(ids)) < len(ids):
+        repeated = next(i for i, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"point id {repeated} is repeated; partition every "
+                         "training record in one partition_routes call")
+    tree = BallTree(embed_points(pts, params.weights), ids=ids,
                     leaf_size=DEFAULT_LEAF_SIZE, sizes=[len(by_port[port]) for port in ports])
     per_port = {port: PortIndex(tree=view, points={p.point_id: p for p in by_port[port]})
                 for port, view in zip(ports, tree.groups())}

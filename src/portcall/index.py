@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import copy
 import math
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,10 +63,11 @@ def _check_points(points: np.ndarray, ids: Sequence[int] | None) -> tuple[np.nda
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
     _sq_norms(pts, "points")
-    id_arr = np.arange(len(pts), dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
-    if id_arr.shape != (len(pts),):
-        raise ValueError("ids must align with points")
-    return pts, id_arr
+    # a cast to int64 would truncate floats and parse strings, so only integers pass
+    id_arr = np.arange(len(pts)) if ids is None else np.asarray(ids)
+    if id_arr.shape != (len(pts),) or id_arr.dtype.kind not in "iu":
+        raise ValueError("ids must be integers, one per point")
+    return pts, id_arr.astype(np.int64, copy=False)
 
 
 def _distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -103,8 +103,11 @@ class LeafTable:
     Leaves sit back to back, group by group: ``points`` is (L, S, 5) with
     short leaves padded by ``inf`` rows, ``ids`` is (L, S), ``centroid`` and
     ``radius`` bound each leaf's points, and ``leaf_group`` (L,) names each
-    leaf's group. Every group holds at least one leaf and every leaf at least
-    one point. Immutable; concurrent queries are safe.
+    leaf's group. The bounds' centroid terms are ``m2ct``, a contiguous
+    ``-2 * centroid.T``, ``c_sq``, each centroid's squared norm, and ``c_max``,
+    the largest centroid norm floored at NORM_FLOOR. Every group holds at
+    least one leaf and every leaf at least one point. Immutable; concurrent
+    queries are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: np.ndarray, centroid: np.ndarray,
@@ -115,16 +118,9 @@ class LeafTable:
         self.leaf_group = np.repeat(np.arange(len(self.counts)), self.counts)
         per_query = 28 * len(radius) + 96 * 4 * len(self.counts) * points.shape[1]
         self.block = max(1, BLOCK_BYTES // per_query)
-
-    @cached_property
-    def bound_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The centroid terms of the leaf bounds: ``-2 * centroid.T`` as a
-        contiguous (5, L), each centroid's squared norm, and the largest
-        centroid norm floored at NORM_FLOOR. Made on the first query, so the
-        views of ``BallTree.groups``, read off the hot path, pay only when queried."""
-        c_sq = np.einsum("ij,ij->i", self.centroid, self.centroid)
-        return (np.ascontiguousarray(-2.0 * self.centroid.T), c_sq,
-                max(math.sqrt(c_sq.max()), NORM_FLOOR))
+        self.m2ct = np.ascontiguousarray(-2.0 * centroid.T)
+        self.c_sq = np.einsum("ij,ij->i", centroid, centroid)
+        self.c_max = max(math.sqrt(self.c_sq.max()), NORM_FLOOR)
 
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact nearest point of every group to every query row.
@@ -135,7 +131,7 @@ class LeafTable:
         if q.ndim != 2 or q.shape[1] != self.points.shape[2]:
             raise ValueError("queries must be an (n, 5) array")
         q_sq, q_max = _sq_norms(q, "queries")
-        r = self.radius + SLACK * (self.bound_terms[2] + math.sqrt(q_max))
+        r = self.radius + SLACK * (self.c_max + math.sqrt(q_max))
         if len(q) <= self.block:
             return self._block(q, q_sq, r)
         parts = [self._block(q[lo:lo + self.block], q_sq[lo:lo + self.block], r)
@@ -150,7 +146,7 @@ class LeafTable:
         Steps 1-2 only bound, so they take every centroid distance from one
         matrix product, dc = sqrt(max(q.(-2c) + |c|^2 + |q|^2, 0)), against
         every radius widened by one slack per call, delta = K*sqrt(eps)*(C + Q),
-        with C the largest centroid norm (from bound_terms) and Q the call's
+        with C the largest centroid norm (c_max) and Q the call's
         largest |q|. Steps 3-4 compute every returned distance as
         brute_nearest does, so the answers are exact if no leaf holding a
         point at its group's least distance is pruned. With u = eps/2 and
@@ -183,10 +179,9 @@ class LeafTable:
         scanned, never the answers.
         """
         n_q, n_g = len(q), len(self.counts)
-        m2ct, c_sq, _ = self.bound_terms
         # 1. every (query, leaf) centroid distance
-        sq = q @ m2ct
-        sq += c_sq
+        sq = q @ self.m2ct
+        sq += self.c_sq
         sq += q_sq[:, None]
         dc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
         # 2. each group's upper bound: a leaf is non-empty and inside its ball
@@ -227,11 +222,12 @@ class BallTree:
         self.leaf_size = leaf_size
         self.n_points = n = len(pts)
         # an empty group would make the kernel's reduceat read its neighbour's leaves
-        sizes = np.array([n] if sizes is None else sizes, dtype=np.int64)
-        if sizes.ndim != 1 or not (sizes > 0).all() or sizes.sum() != n:
-            raise ValueError("sizes must be positive and sum to the number of points")
+        sizes = np.asarray([n] if sizes is None else sizes)
+        if (sizes.ndim != 1 or sizes.dtype.kind not in "iu" or not (sizes > 0).all()
+                or sizes.sum() != n):
+            raise ValueError("sizes must be positive integers that sum to the number of points")
         # parts are contiguous row ranges, at first the groups; parts left whole sort on key 0
-        first = edges = np.concatenate([[0], np.cumsum(sizes)])
+        first = edges = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
         while True:
             start, count = edges[:-1], np.diff(edges)
             split = count > leaf_size

@@ -79,6 +79,16 @@ def test_train_same_port_merges():
     assert model.per_port["PORTA"].tree.n_points == 4
 
 
+def test_train_rejects_repeated_point_ids():
+    """Each partition_routes call numbers its points from 0, so routes of two
+    calls share ids; the port maps would keep one point per id and the table
+    every row, so candidates would be re-ranked with the wrong point."""
+    routes = build_routes(TWO_PORT_LANES[:1]) + build_routes(TWO_PORT_LANES[1:])
+    with pytest.raises(ValueError, match="point id 0 is repeated"):
+        train(routes, ModelParams())
+    assert train(build_routes(TWO_PORT_LANES), ModelParams()).n_points == 7
+
+
 def test_train_requires_labeled_routes():
     with pytest.raises(ValueError):
         train([], ModelParams())

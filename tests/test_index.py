@@ -1,5 +1,6 @@
 """Exact nearest-neighbor structures versus the brute-force oracle."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from portcall import classifier
 from portcall.classifier import ModelParams, embed_points, train
-from portcall.index import _NO_ID, BLOCK_BYTES, BallTree, brute_nearest
+from portcall.index import _NO_ID, BLOCK_BYTES, NORM_FLOOR, BallTree, brute_nearest
 from portcall.tuner import split_routes
 
 
@@ -179,10 +180,14 @@ def test_leaf_table_rejects_block_with_one_non_finite_query():
 
 
 def test_group_sizes_must_be_positive_and_cover_every_point():
-    for sizes in ([0, 5], [6, -1], [2, 2], [3, 3], [], [[5]]):
+    # and be integers: a cast would truncate [2.5, 3.5] to groups of 2 and 3
+    for sizes in ([0, 5], [6, -1], [2, 2], [3, 3], [], [[5]],
+                  [2.5, 3.5], np.array([1.0, 4.0]), ["2", "3"], [True] * 5):
         with pytest.raises(ValueError, match="sizes"):
             BallTree(np.eye(5), sizes=sizes)
     assert BallTree(np.eye(5), sizes=[1, 4]).table.counts.tolist() == [1, 1]
+    unsigned = np.array([1, 4], dtype=np.uint32)
+    assert BallTree(np.eye(5), sizes=unsigned).table.counts.tolist() == [1, 1]
 
 
 def test_grouped_tree_nearest_answers_over_every_group():
@@ -315,10 +320,15 @@ def test_tied_lattice_splits_at_the_median_row():
 def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
     """Training builds one tree whose groups are the ports, and its table is
     the model's; each port's tree reads its group of that table, and the
-    group holds the leaves a tree built on the port's points alone holds."""
+    group holds the leaves a tree built on the port's points alone holds,
+    with the same centroid terms of the leaf bounds."""
     monkeypatch.setattr(classifier, "DEFAULT_LEAF_SIZE", 8)
     model = train(canonical_routes, ModelParams())
     assert len(model.per_port) > 1
+    t = model.table
+    assert t.m2ct.flags.c_contiguous and np.array_equal(t.m2ct, -2.0 * t.centroid.T)
+    assert np.array_equal(t.c_sq, np.einsum("ij,ij->i", t.centroid, t.centroid))
+    assert t.c_max == max(math.sqrt(t.c_sq.max()), NORM_FLOOR)
     for g, ix in enumerate(model.per_port.values()):
         lo, hi = model.table.offsets[g], model.table.offsets[g] + model.table.counts[g]
         group = ix.tree.table
@@ -328,8 +338,9 @@ def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
         pts = list(ix.points.values())
         alone = BallTree(embed_points(pts, model.params.weights),
                          ids=[p.point_id for p in pts], leaf_size=8).table
-        assert np.array_equal(group.centroid, alone.centroid)
-        assert np.array_equal(group.radius, alone.radius)
+        for name in ("centroid", "radius", "m2ct", "c_sq"):
+            assert np.array_equal(getattr(group, name), getattr(alone, name))
+        assert group.c_max == alone.c_max
         for (ids_a, pts_a), (ids_b, pts_b) in zip(table_rows(group), table_rows(alone),
                                                   strict=True):
             assert np.array_equal(ids_a, ids_b)
@@ -358,7 +369,7 @@ def test_custom_ids_flow_through():
     tree = BallTree(pts, ids=ids, leaf_size=4)
     q = rng.uniform(-1, 1, size=5)
     pid, dist = tree.nearest(q)
-    b_pid, b_dist = brute_nearest(pts, q, np.array(ids))
+    b_pid, b_dist = brute_nearest(pts, q, np.array(ids, dtype=np.uint16))
     assert pid == b_pid
     assert dist == b_dist
 
@@ -370,6 +381,13 @@ def test_input_validation():
         BallTree(np.zeros((4, 3)))
     with pytest.raises(ValueError):
         BallTree(np.zeros((4, 5)), leaf_size=0)
+    # ids must be integers, which a cast would truncate (floats) or parse (strings)
+    for ids in ([0.5, 1.5, 2.5, 3.5, 4.5], np.arange(5.0), list("01234"),
+                [True, False, True, False, True]):
+        with pytest.raises(ValueError, match="ids"):
+            BallTree(np.eye(5), ids=ids)
+        with pytest.raises(ValueError, match="ids"):
+            brute_nearest(np.eye(5), np.zeros(5), ids=ids)
     pts = np.zeros((4, 5))
     pts[2, 1] = np.nan
     with pytest.raises(ValueError):
