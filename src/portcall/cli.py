@@ -172,8 +172,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.queries < 1 or args.seed < 0:
         raise CliError("--queries must be >= 1 and --seed >= 0")
     pts = [p for route in _load_routes(args.train, labeled=True) for p in route.points]
-    # checked once here, so the brute arm times only its scan
+    # checked and laid out component-major once here, so the brute arm times only its scan
     points, ids = _check_points(embed_points(pts, FeatureWeights()), [p.point_id for p in pts])
+    points_t = np.ascontiguousarray(points.T)
     rng = np.random.default_rng(args.seed)
     queries = embed_arrays(rng.uniform(-60.0, 60.0, args.queries),
                            rng.uniform(-180.0, 180.0, args.queries),
@@ -183,7 +184,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     tree = BallTree(points, ids=ids)
     # a scan builds nothing, so the brute arm's build time is 0
     arms = {"balltree": (time.perf_counter() - t0, tree.nearest),
-            "brute": (0.0, lambda q: _scan(points, ids, q))}
+            "brute": (0.0, lambda q: _scan(points_t, ids, q))}
     answers, report = [], []
     for name, (build_s, nearest) in arms.items():
         t0 = time.perf_counter()

@@ -3,14 +3,16 @@
 A ball tree (the structure used by the classifier) and a linear scan (the
 test oracle and the brute benchmark arm) both return the exact nearest point
 under the Euclidean metric, ties going to the smallest point id. Every
-distance comes from one function, so the two agree bit for bit.
+distance comes from one function, which sums the squares in one written-out
+order, so the two agree bit for bit on any numpy build.
 
 The tree is only its leaves. The build splits one level at a time, every
 part at once at the median of its dimension of maximum spread, until each
 part holds at most ``leaf_size`` points; one array of row edges, ``[0, ...,
 n]``, holds the parts, and the first level's may be groups of rows (the
 ports), so one split builds many trees. The leaves are kept as a padded
-table, a group per tree, with each leaf's centroid and radius. One numpy
+table, a group per tree, with each leaf's centroid and radius; each leaf's
+points lie component-major, so the scan runs along them. One numpy
 kernel answers a block of queries against them all: it takes every (query,
 leaf) centroid distance once, from one matrix product, and widens every
 radius by a slack that covers its rounding. It bounds each leaf from below
@@ -32,7 +34,7 @@ DEFAULT_LEAF_SIZE = 32
 
 # Query blocks are sized from this many bytes at about 28 per leaf bound and 96
 # per point of 4 scanned leaves a tree. Queries scan more (8.1 leaves a port on
-# canonical data, 13.6 on the batch-large slice), so a call peaks at 2.5 / 2.1 MB.
+# canonical data, 13.6 on the batch-large slice), so a call peaks at 1.6 / 1.4 MB.
 BLOCK_BYTES = 1 << 20
 
 _NO_ID = np.iinfo(np.int64).max
@@ -60,23 +62,26 @@ def _sq_norms(x: np.ndarray, what: str) -> tuple[np.ndarray, float]:
 
 def _check_points(points: np.ndarray, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray]:
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D array")
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 5:
+        raise ValueError("points must be a non-empty (n, 5) array of feature vectors")
     _sq_norms(pts, "points")
-    # a cast to int64 would truncate floats and parse strings, so only integers pass
+    # an int64 cast would truncate floats, parse strings and wrap uint64s above its range
     id_arr = np.arange(len(pts)) if ids is None else np.asarray(ids)
-    if id_arr.shape != (len(pts),) or id_arr.dtype.kind not in "iu":
+    if id_arr.shape != (len(pts),) or id_arr.dtype.kind not in "iu" or id_arr.max() > _NO_ID:
         raise ValueError("ids must be integers, one per point")
     return pts, id_arr.astype(np.int64, copy=False)
 
 
-def _distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``points`` and ``q``, which
-    broadcast against each other. Every distance of this module comes from
-    here, so each pair of vectors rounds the same way in every caller."""
-    diff = points - q
-    flat = diff.reshape(-1, diff.shape[-1])
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(diff.shape[:-1])
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of differences whose 5 components lie along axis
+    -2, which it squares in place. Every distance of this module comes from
+    here, summed in one written-out order, ((d0^2 + d2^2) + d4^2) + (d1^2 +
+    d3^2), so each pair of vectors rounds the same way in every caller."""
+    diff *= diff
+    s = diff[..., 0, :] + diff[..., 2, :]
+    s += diff[..., 4, :]
+    s += diff[..., 1, :] + diff[..., 3, :]
+    return np.sqrt(s, out=s)
 
 
 def brute_nearest(points: np.ndarray, q: np.ndarray,
@@ -87,12 +92,12 @@ def brute_nearest(points: np.ndarray, q: np.ndarray,
     if q.shape != pts.shape[1:]:
         raise ValueError("query must be one vector of the points' width")
     _sq_norms(q, "query")
-    return _scan(pts, id_arr, q)
+    return _scan(np.ascontiguousarray(pts.T), id_arr, q)
 
 
-def _scan(pts: np.ndarray, id_arr: np.ndarray, q: np.ndarray) -> tuple[int, float]:
-    """brute_nearest on points, ids and a query it has already checked."""
-    d = _distances(pts, q)
+def _scan(pts_t: np.ndarray, id_arr: np.ndarray, q: np.ndarray) -> tuple[int, float]:
+    """brute_nearest on points (5, n), ids and a query it has already checked."""
+    d = _norms(pts_t - q[:, None])
     best = d.min()
     return int(id_arr[d == best].min()), float(best)
 
@@ -100,14 +105,14 @@ def _scan(pts: np.ndarray, id_arr: np.ndarray, q: np.ndarray) -> tuple[int, floa
 class LeafTable:
     """The leaves of one or more ball trees (groups), queried together.
 
-    Leaves sit back to back, group by group: ``points`` is (L, S, 5) with
-    short leaves padded by ``inf`` rows, ``ids`` is (L, S), ``centroid`` and
-    ``radius`` bound each leaf's points, and ``leaf_group`` (L,) names each
-    leaf's group. The bounds' centroid terms are ``m2ct``, a contiguous
-    ``-2 * centroid.T``, ``c_sq``, each centroid's squared norm, and ``c_max``,
-    the largest centroid norm floored at NORM_FLOOR. Every group holds at
-    least one leaf and every leaf at least one point. Immutable; concurrent
-    queries are safe.
+    Leaves sit back to back, group by group: ``points`` is (L, 5, S), each
+    leaf's 5 components along its S point slots, short leaves padded with
+    ``inf``, ``ids`` is (L, S), ``centroid`` and ``radius`` bound each leaf's
+    points, and ``leaf_group`` (L,) names each leaf's group. The bounds'
+    centroid terms are ``m2ct``, a contiguous ``-2 * centroid.T``, ``c_sq``,
+    each centroid's squared norm, and ``c_max``, the largest centroid norm
+    floored at NORM_FLOOR. Every group holds at least one leaf and every leaf
+    at least one point. Immutable; concurrent queries are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: np.ndarray, centroid: np.ndarray,
@@ -116,7 +121,7 @@ class LeafTable:
         self.counts = np.asarray(counts, dtype=np.int64)
         self.offsets = np.cumsum(self.counts) - self.counts
         self.leaf_group = np.repeat(np.arange(len(self.counts)), self.counts)
-        per_query = 28 * len(radius) + 96 * 4 * len(self.counts) * points.shape[1]
+        per_query = 28 * len(radius) + 96 * 4 * len(self.counts) * points.shape[2]
         self.block = max(1, BLOCK_BYTES // per_query)
         self.m2ct = np.ascontiguousarray(-2.0 * centroid.T)
         self.c_sq = np.einsum("ij,ij->i", centroid, centroid)
@@ -128,7 +133,7 @@ class LeafTable:
         Returns (ids, distances, leaves scanned), each of shape (n, groups).
         """
         q = np.asarray(queries, dtype=np.float64)
-        if q.ndim != 2 or q.shape[1] != self.points.shape[2]:
+        if q.ndim != 2 or q.shape[1] != self.points.shape[1]:
             raise ValueError("queries must be an (n, 5) array")
         q_sq, q_max = _sq_norms(q, "queries")
         r = self.radius + SLACK * (self.c_max + math.sqrt(q_max))
@@ -148,9 +153,10 @@ class LeafTable:
         every radius widened by one slack per call, delta = K*sqrt(eps)*(C + Q),
         with C the largest centroid norm (c_max) and Q the call's
         largest |q|. Steps 3-4 compute every returned distance as
-        brute_nearest does, so the answers are exact if no leaf holding a
-        point at its group's least distance is pruned. With u = eps/2 and
-        g(n) = n*u/(1 - n*u) (Higham, Accuracy and Stability of Numerical
+        brute_nearest does, _norms of a scanned leaf's component-major points
+        minus the query, so the answers are exact if no leaf holding a point
+        at its group's least distance is pruned. With u = eps/2 and g(n) =
+        n*u/(1 - n*u) (Higham, Accuracy and Stability of Numerical
         Algorithms, 2nd ed., 2002, ch. 3):
 
         - the 5-term dot product and the two squared norms err by at most
@@ -187,14 +193,17 @@ class LeafTable:
         # 2. each group's upper bound: a leaf is non-empty and inside its ball
         upper = np.minimum.reduceat(dc + r, self.offsets, axis=1)
         # 3. scan every leaf whose lower bound is within its group's upper bound
-        qi, leaf = np.nonzero(dc - r <= upper[:, self.leaf_group])
-        d = _distances(self.points[leaf], q[qi][:, None, :])
+        mask = dc - r <= upper.repeat(self.counts, axis=1)
+        qi, leaf = np.divmod(mask.ravel().nonzero()[0], len(self.radius))
+        d = self.points[leaf]  # a copy, so the difference is formed and squared in place
+        d -= q[qi, :, None]
+        d = _norms(d)
         # 4. per (query, group): the least distance, then the least id at it;
-        # nonzero lists the pairs in order and every pair scans a leaf
+        # the flat mask lists the pairs in order and every pair scans a leaf
         pair = qi * n_g + self.leaf_group[leaf]
         start = pair.searchsorted(np.arange(n_q * n_g))
         best = np.minimum.reduceat(d.min(axis=1), start)
-        cand = np.where(d == best[pair][:, None], self.ids[leaf], _NO_ID)
+        cand = np.where(d == best[pair, None], self.ids[leaf], _NO_ID)
         best_id = np.minimum.reduceat(cand.min(axis=1), start)
         scanned = np.bincount(pair, minlength=n_q * n_g)
         return tuple(a.reshape(n_q, n_g) for a in (best_id, best, scanned))
@@ -217,8 +226,6 @@ class BallTree:
         if leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
         pts, id_arr = _check_points(points, ids)
-        if pts.shape[1] != 5:
-            raise ValueError("BallTree indexes 5-D feature vectors")
         self.leaf_size = leaf_size
         self.n_points = n = len(pts)
         # an empty group would make the kernel's reduceat read its neighbour's leaves
@@ -243,10 +250,11 @@ class BallTree:
             edges = np.sort(np.concatenate([edges, (start + count // 2)[split]]))
 
         centroid = np.add.reduceat(pts, start) / count[:, None]
-        radius = np.maximum.reduceat(_distances(pts, np.repeat(centroid, count, axis=0)), start)
+        radius = np.maximum.reduceat(_norms((pts - np.repeat(centroid, count, axis=0)).T), start)
         real = np.arange(count.max()) < count[:, None]  # leaves are consecutive rows
-        table_pts, table_ids = np.full((*real.shape, 5), np.inf), np.full(real.shape, _NO_ID)
-        table_pts[real], table_ids[real] = pts, id_arr
+        table_pts = np.full((len(count), 5, real.shape[1]), np.inf)
+        table_ids = np.full(real.shape, _NO_ID)
+        table_pts.transpose(0, 2, 1)[real], table_ids[real] = pts, id_arr
         self.table = LeafTable(table_pts, table_ids, centroid, radius,
                                np.diff(edges.searchsorted(first)))
 
@@ -260,7 +268,7 @@ class BallTree:
         for tree, lo, hi in zip(trees, t.offsets, t.offsets + t.counts):
             tree.table = LeafTable(t.points[lo:hi], t.ids[lo:hi], t.centroid[lo:hi],
                                    t.radius[lo:hi], [hi - lo])
-            tree.n_points = int(np.isfinite(tree.table.points[:, :, 0]).sum())
+            tree.n_points = int(np.isfinite(tree.table.points[:, 0]).sum())
         return trees
 
     def nearest(self, q: np.ndarray) -> tuple[int, float]:
@@ -276,5 +284,5 @@ class BallTree:
         """Max over points of (distance to its leaf's centroid - that leaf's
         radius); <= 0 when every point lies inside its leaf's ball."""
         t = self.table
-        slack = _distances(t.points, t.centroid[:, None, :]) - t.radius[:, None]
-        return float(slack[np.isfinite(t.points[:, :, 0])].max())
+        slack = _norms(t.points - t.centroid[:, :, None]) - t.radius[:, None]
+        return float(slack[np.isfinite(t.points[:, 0])].max())

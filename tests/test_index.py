@@ -136,9 +136,9 @@ def test_ties_and_duplicates_match_brute_sweep():
                 width = alone.table.ids.shape[1]
                 group = view.table
                 assert view.n_points == alone.n_points and view.leaf_count == alone.leaf_count
-                assert same_bits(group.points[:, :width], alone.table.points)
+                assert same_bits(group.points[:, :, :width], alone.table.points)
                 assert same_bits(group.ids[:, :width], alone.table.ids)
-                assert np.isinf(group.points[:, width:]).all()
+                assert np.isinf(group.points[:, :, width:]).all()
                 assert (group.ids[:, width:] == _NO_ID).all()
                 assert same_bits(group.centroid, alone.table.centroid)
                 assert same_bits(group.radius, alone.table.radius)
@@ -168,6 +168,42 @@ def test_clustered_near_ties_match_brute_sweep():
                 tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
                 for q in queries:
                     assert tree.nearest(q) == brute_nearest(pts, q, ids)
+
+
+def ordered_norm(d):
+    """The one order in which the index sums a difference's squares."""
+    return math.sqrt(((d[0] * d[0] + d[2] * d[2]) + d[4] * d[4]) + (d[1] * d[1] + d[3] * d[3]))
+
+
+def test_distances_sum_in_one_written_out_order_sweep():
+    """Every distance the kernel and the brute scan return, and every leaf
+    radius, is ordered_norm of the difference in Python floats, bit for bit,
+    at scales from 1e-155 (whose squares are subnormal) to 1e150, so the two
+    agree on any numpy build. The farthest point of each leaf then lies
+    exactly on its ball, and the sweep tells that order from a left-to-right
+    sum."""
+    rng = np.random.default_rng(47)
+    other_order = 0
+    for scale in (1e-155, 1e-50, 1e-3, 1.0, 1e3, 1e50, 1e150):
+        pts = rng.normal(size=(120, 5)) * rng.uniform(0.1, 10.0, size=(120, 1)) * scale
+        ids = rng.permutation(1000)[:120]
+        queries = rng.normal(size=(8, 5)) * scale
+        tree = BallTree(pts, ids=ids, leaf_size=8, sizes=[50, 70])
+        got_ids, got_d, _ = tree.table.nearest(queries)
+        for k, q in enumerate(queries):
+            diffs = [[float(a) - float(b) for a, b in zip(p, q)] for p in pts]
+            dist = [ordered_norm(d) for d in diffs]
+            other_order += sum(x != math.sqrt(sum(c * c for c in d)) for x, d in zip(dist, diffs))
+            want = [min(zip(dist[lo:hi], ids[lo:hi].tolist())) for lo, hi in ((0, 50), (50, 120))]
+            assert list(zip(got_d[k].tolist(), got_ids[k].tolist())) == want
+            assert brute_nearest(pts, q, ids) == min(want)[::-1]
+        table = tree.table
+        leaves = [rows for g in range(2) for rows in table_rows(table, g)]
+        for (_, leaf_pts), c, radius in zip(leaves, table.centroid, table.radius, strict=True):
+            assert radius == max(ordered_norm([float(a) - float(b) for a, b in zip(p, c)])
+                                 for p in leaf_pts)
+        assert tree.containment_slack() == 0.0
+    assert other_order > 0
 
 
 def test_leaf_table_rejects_block_with_one_non_finite_query():
@@ -255,8 +291,8 @@ def test_ball_containment_invariant():
 def table_rows(table, g=0):
     """Group g's leaves as (ids, points) of its real rows, leaf by leaf."""
     lo, hi = table.offsets[g], table.offsets[g] + table.counts[g]
-    real = np.isfinite(table.points[lo:hi, :, 0])
-    return [(table.ids[k][real[k - lo]], table.points[k][real[k - lo]]) for k in range(lo, hi)]
+    real = np.isfinite(table.points[lo:hi, 0])
+    return [(table.ids[k][real[k - lo]], table.points[k].T[real[k - lo]]) for k in range(lo, hi)]
 
 
 def median_split_leaves(pts, ids, leaf_size):
@@ -377,17 +413,27 @@ def test_custom_ids_flow_through():
 def test_input_validation():
     with pytest.raises(ValueError):
         BallTree(np.empty((0, 5)))
-    with pytest.raises(ValueError):
-        BallTree(np.zeros((4, 3)))
+    # _norms sums 5 components, so other widths would index past or skip some
+    for width in (3, 7):
+        with pytest.raises(ValueError):
+            BallTree(np.zeros((4, width)))
+        with pytest.raises(ValueError):
+            brute_nearest(np.zeros((4, width)), np.zeros(width))
     with pytest.raises(ValueError):
         BallTree(np.zeros((4, 5)), leaf_size=0)
-    # ids must be integers, which a cast would truncate (floats) or parse (strings)
+    # ids must be integers that int64 holds, which a cast would truncate
+    # (floats), parse (strings) or wrap to negative ids (uint64s above its range)
     for ids in ([0.5, 1.5, 2.5, 3.5, 4.5], np.arange(5.0), list("01234"),
-                [True, False, True, False, True]):
+                [True, False, True, False, True],
+                np.array([2**63 + 5, 7, 9, 1, 2], dtype=np.uint64)):
         with pytest.raises(ValueError, match="ids"):
             BallTree(np.eye(5), ids=ids)
         with pytest.raises(ValueError, match="ids"):
             brute_nearest(np.eye(5), np.zeros(5), ids=ids)
+    largest = np.array([2**63 - 1, 7, 9, 1, 2], dtype=np.uint64)
+    e0 = np.eye(5)[0]
+    assert BallTree(np.eye(5), ids=largest).nearest(e0) == (2**63 - 1, 0.0)
+    assert brute_nearest(np.eye(5), e0, largest) == (2**63 - 1, 0.0)
     pts = np.zeros((4, 5))
     pts[2, 1] = np.nan
     with pytest.raises(ValueError):
