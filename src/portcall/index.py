@@ -12,14 +12,13 @@ part holds at most ``leaf_size`` points; one array of row edges, ``[0, ...,
 n]``, holds the parts, and the first level's may be groups of rows (the
 ports), so one split builds many trees. The leaves are kept as a padded
 table, a group per tree, with each leaf's centroid and radius; each leaf's
-points lie component-major, so the scan runs along them. One numpy
-kernel answers a block of queries against them all: it takes every (query,
-leaf) centroid distance once, from one matrix product, and widens every
-radius by a slack that covers its rounding. It bounds each leaf from below
-by its centroid distance minus the widened radius and each tree from above
-by its least centroid distance plus widened radius, then scans every leaf
-whose bound is ``<=`` its tree's upper bound, so equal-distance candidates
-are reached.
+points lie component-major and in order of id, so the scan runs along them.
+One numpy kernel answers a block of queries against them all: it takes every
+(query, leaf) centroid distance once, from one matrix product. It bounds
+each leaf from below by its centroid distance minus its radius and each
+tree from above by its least centroid distance plus radius, widened by a
+slack that covers their rounding, then scans every leaf whose bound is
+``<=`` its tree's upper bound, so equal-distance candidates are reached.
 """
 
 from __future__ import annotations
@@ -33,9 +32,10 @@ import numpy as np
 DEFAULT_LEAF_SIZE = 32
 
 # Query blocks are sized from this many bytes at about 28 per leaf bound and 96
-# per point of 4 scanned leaves a tree. Queries scan more (8.1 leaves a port on
-# canonical data, 13.6 on the batch-large slice), so a call peaks at 1.6 / 1.4 MB.
-BLOCK_BYTES = 1 << 20
+# per point of 4 scanned leaves a tree: 53 queries on canonical data, 14 at
+# batch-large. Queries scan more (8.1 leaves a port on canonical data, 13.6 on
+# the batch-large slice), so a call on a 60-fix route peaks at 4.0 / 4.1 MiB.
+BLOCK_BYTES = 3 << 20
 
 _NO_ID = np.iinfo(np.int64).max
 
@@ -43,8 +43,9 @@ _NO_ID = np.iinfo(np.int64).max
 # sum the kernel forms finite: |a - b|^2 <= 2|a|^2 + 2|b|^2 <= max / 2.
 MAX_SQ_NORM = np.finfo(np.float64).max / 8
 
-# The rounding slack of the leaf bounds, SLACK * (largest centroid norm +
-# largest query norm), and the floor of that centroid norm; _block derives both.
+# The rounding slack of a leaf bound, SLACK * (largest centroid norm + largest
+# query norm), which each group's upper bound takes twice, and the floor of that
+# centroid norm; _block derives both.
 SLACK = 4 * math.sqrt(np.finfo(np.float64).eps)
 NORM_FLOOR = 2.0 ** -500
 
@@ -106,13 +107,16 @@ class LeafTable:
     """The leaves of one or more ball trees (groups), queried together.
 
     Leaves sit back to back, group by group: ``points`` is (L, 5, S), each
-    leaf's 5 components along its S point slots, short leaves padded with
-    ``inf``, ``ids`` is (L, S), ``centroid`` and ``radius`` bound each leaf's
-    points, and ``leaf_group`` (L,) names each leaf's group. The bounds'
-    centroid terms are ``m2ct``, a contiguous ``-2 * centroid.T``, ``c_sq``,
-    each centroid's squared norm, and ``c_max``, the largest centroid norm
-    floored at NORM_FLOOR. Every group holds at least one leaf and every leaf
-    at least one point. Immutable; concurrent queries are safe.
+    leaf's 5 components along its S point slots, and ``ids`` is (L, S). A
+    leaf's slots hold its points in ascending id order, then its padding
+    (``inf`` points, ``_NO_ID`` ids), so its first least distance lies at
+    its least id at that distance. ``centroid`` and ``radius`` bound each
+    leaf's points, and ``leaf_group`` (L,) names each leaf's group. The
+    bounds' centroid terms are ``m2ct``, a contiguous ``-2 * centroid.T``,
+    ``c_sq``, each centroid's squared norm, and ``c_max``, the largest
+    centroid norm floored at NORM_FLOOR. Every group holds at least one leaf
+    and every leaf at least one point. Immutable; concurrent queries are
+    safe.
     """
 
     def __init__(self, points: np.ndarray, ids: np.ndarray, centroid: np.ndarray,
@@ -136,27 +140,27 @@ class LeafTable:
         if q.ndim != 2 or q.shape[1] != self.points.shape[1]:
             raise ValueError("queries must be an (n, 5) array")
         q_sq, q_max = _sq_norms(q, "queries")
-        r = self.radius + SLACK * (self.c_max + math.sqrt(q_max))
+        slack = 2 * SLACK * (self.c_max + math.sqrt(q_max))
         if len(q) <= self.block:
-            return self._block(q, q_sq, r)
-        parts = [self._block(q[lo:lo + self.block], q_sq[lo:lo + self.block], r)
+            return self._block(q, q_sq, slack)
+        parts = [self._block(q[lo:lo + self.block], q_sq[lo:lo + self.block], slack)
                  for lo in range(0, len(q), self.block)]
         return tuple(np.concatenate(a) for a in zip(*parts))
 
     def _block(self, q: np.ndarray, q_sq: np.ndarray,
-               r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               slack: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """nearest() on one block of queries, whose squared norms are q_sq,
-        with the leaf radii widened to r.
+        with the groups' upper bounds widened by slack.
 
         Steps 1-2 only bound, so they take every centroid distance from one
-        matrix product, dc = sqrt(max(q.(-2c) + |c|^2 + |q|^2, 0)), against
-        every radius widened by one slack per call, delta = K*sqrt(eps)*(C + Q),
-        with C the largest centroid norm (c_max) and Q the call's
-        largest |q|. Steps 3-4 compute every returned distance as
-        brute_nearest does, _norms of a scanned leaf's component-major points
-        minus the query, so the answers are exact if no leaf holding a point
-        at its group's least distance is pruned. With u = eps/2 and g(n) =
-        n*u/(1 - n*u) (Higham, Accuracy and Stability of Numerical
+        matrix product, dc = sqrt(max(q.(-2c) + |c|^2 + |q|^2, 0)), and widen
+        every group's upper bound by one slack per call, 2*delta with
+        delta = K*sqrt(eps)*(C + Q), C the largest centroid norm (c_max) and
+        Q the call's largest |q|. Steps 3-4 compute every returned distance
+        as brute_nearest does, _norms of a scanned leaf's component-major
+        points minus the query, so the answers are exact if no leaf holding a
+        point at its group's least distance is pruned. With u = eps/2 and
+        g(n) = n*u/(1 - n*u) (Higham, Accuracy and Stability of Numerical
         Algorithms, 2nd ed., 2002, ch. 3):
 
         - the 5-term dot product and the two squared norms err by at most
@@ -166,23 +170,23 @@ class LeafTable:
         - |sqrt(a) - sqrt(b)| <= sqrt(|a - b|) turns that into
           sqrt(g(7))*(|q| + |c|) < 1.88*sqrt(eps)*(Q + C) on dc, and the
           square root's own rounding adds u*dc;
-        - a leaf is pruned when its lower bound dc - (r + delta) exceeds its
-          group's upper bound, which another leaf's dc + (r + delta) sets,
-          so two centroid distances err against each other, by less than
+        - a leaf is pruned when its lower bound dc - r exceeds its group's
+          upper bound, which another leaf's dc + r sets, plus 2*delta, so two
+          centroid distances err against each other, by less than
           3.76*sqrt(eps)*(Q + C), and 2*delta must cover that. Such a leaf
           has both radii below about Q + C, so the rounding of the radii, of
-          the scan distances and of the bound arithmetic adds a few
-          u*(Q + C), under 1e-6 of the above.
+          the scan distances and of the bound arithmetic (dc - r, dc + r and
+          the add of 2*delta) adds a few u*(Q + C), under 1e-6 of the above.
 
         K = 4 covers it twice over. At the default weights delta is about
         1.2e-7 embedding units, under a metre on the globe. Products that
         underflow err absolutely instead, by at most 2^-1075 each and by
         under 2^-533 through the square roots in all; flooring C at 2^-500
         covers that. The leaf that sets its group's upper bound always
-        passes, since rounding keeps dc - (r + delta) <= dc <= dc + (r + delta),
-        so every group scans a leaf. delta and the matrix product's rounding
-        can depend on the other queries of a call, and with them the leaves
-        scanned, never the answers.
+        passes, since rounding keeps dc - r <= dc <= dc + r <= (dc + r) +
+        2*delta, so every group scans a leaf. delta and the matrix product's
+        rounding can depend on the other queries of a call, and with them the
+        leaves scanned, never the answers.
         """
         n_q, n_g = len(q), len(self.counts)
         # 1. every (query, leaf) centroid distance
@@ -191,20 +195,25 @@ class LeafTable:
         sq += q_sq[:, None]
         dc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
         # 2. each group's upper bound: a leaf is non-empty and inside its ball
-        upper = np.minimum.reduceat(dc + r, self.offsets, axis=1)
+        upper = np.minimum.reduceat(dc + self.radius, self.offsets, axis=1)
+        upper += slack
         # 3. scan every leaf whose lower bound is within its group's upper bound
-        mask = dc - r <= upper.repeat(self.counts, axis=1)
+        mask = dc - self.radius <= upper.repeat(self.counts, axis=1)
         qi, leaf = np.divmod(mask.ravel().nonzero()[0], len(self.radius))
         d = self.points[leaf]  # a copy, so the difference is formed and squared in place
         d -= q[qi, :, None]
         d = _norms(d)
-        # 4. per (query, group): the least distance, then the least id at it;
-        # the flat mask lists the pairs in order and every pair scans a leaf
+        # 4. per scanned leaf, its least distance at its least id (the first
+        # argmin, as ids ascend along the slots); then per (query, group) the
+        # least distance, then the least id at it. The flat mask lists the
+        # pairs in order and every pair scans a leaf
+        slot = d.argmin(axis=1)
+        near = d[np.arange(len(leaf)), slot]
+        near_id = self.ids[leaf, slot]
         pair = qi * n_g + self.leaf_group[leaf]
         start = pair.searchsorted(np.arange(n_q * n_g))
-        best = np.minimum.reduceat(d.min(axis=1), start)
-        cand = np.where(d == best[pair, None], self.ids[leaf], _NO_ID)
-        best_id = np.minimum.reduceat(cand.min(axis=1), start)
+        best = np.minimum.reduceat(near, start)
+        best_id = np.minimum.reduceat(np.where(near == best[pair], near_id, _NO_ID), start)
         scanned = np.bincount(pair, minlength=n_q * n_g)
         return tuple(a.reshape(n_q, n_g) for a in (best_id, best, scanned))
 
@@ -218,13 +227,16 @@ class BallTree:
     of maximum spread (the first on ties) and split at its median row. No
     part spans two groups, so each group holds, bit for bit, the leaves of a
     tree on its rows alone, which ``groups()`` returns. Every point lies
-    inside its leaf's ball. Immutable; concurrent queries are safe.
+    inside its leaf's ball, and each leaf's points are laid out in order of
+    id. Immutable; concurrent queries are safe.
     """
 
     def __init__(self, points: np.ndarray, ids: Sequence[int] | None = None,
                  leaf_size: int = DEFAULT_LEAF_SIZE, sizes: Sequence[int] | None = None):
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
+        # a bool is an int, and nan, inf and 2.5 compare with one but split oddly
+        if (not isinstance(leaf_size, (int, np.integer)) or isinstance(leaf_size, bool)
+                or leaf_size < 1):
+            raise ValueError("leaf_size must be a positive integer")
         pts, id_arr = _check_points(points, ids)
         self.leaf_size = leaf_size
         self.n_points = n = len(pts)
@@ -251,6 +263,9 @@ class BallTree:
 
         centroid = np.add.reduceat(pts, start) / count[:, None]
         radius = np.maximum.reduceat(_norms((pts - np.repeat(centroid, count, axis=0)).T), start)
+        # each leaf's rows in order of id, after its centroid has summed them in split order
+        order = np.lexsort((id_arr, np.repeat(np.arange(len(count)), count)))
+        pts, id_arr = pts[order], id_arr[order]
         real = np.arange(count.max()) < count[:, None]  # leaves are consecutive rows
         table_pts = np.full((len(count), 5, real.shape[1]), np.inf)
         table_ids = np.full(real.shape, _NO_ID)

@@ -1,5 +1,6 @@
 """Exact nearest-neighbor structures versus the brute-force oracle."""
 
+import copy
 import math
 import tracemalloc
 
@@ -170,6 +171,46 @@ def test_clustered_near_ties_match_brute_sweep():
                     assert tree.nearest(q) == brute_nearest(pts, q, ids)
 
 
+def test_block_invariance_sweep():
+    """One nearest() call over n queries answers as n one-query calls, in
+    ids, distances and leaves scanned, whatever the block size: 1, 3 or
+    the table's own. The kernel takes each leaf's least id at its least
+    distance as that leaf's first argmin, so every leaf's real ids ascend
+    and its padding comes after them. The inputs are lattice ties and
+    duplicates, and tight clusters of near-ties at scales 1e-150 to 1e6."""
+    rng = np.random.default_rng(49)
+    cases = []
+    for _ in range(6):
+        sizes = rng.integers(1, 200, size=3)
+        pts, ids = lattice_points(rng, int(sizes.sum()))
+        cases.append((pts, ids, sizes, rng.integers(-2, 3, size=(16, 5)) / 2.0))
+    for scale in (1e-150, 1e-3, 1.0, 1e3, 1e6):
+        for offset in (1e-12, 1e-6, 1e-2):
+            centres = rng.normal(size=(3, 5))
+            centres /= np.linalg.norm(centres, axis=1)[:, None]
+            pts = (centres[rng.integers(0, 3, size=150)]
+                   + offset * rng.normal(size=(150, 5))) * scale
+            queries = (centres[rng.integers(0, 3, size=16)]
+                       + offset * rng.normal(size=(16, 5))) * scale
+            cases.append((pts, rng.permutation(1000)[:150], [60, 90], queries))
+    for pts, ids, sizes, queries in cases:
+        for leaf_size in (1, 4, 32):
+            table = BallTree(pts, ids=ids, leaf_size=leaf_size, sizes=sizes).table
+            real = np.isfinite(table.points[:, 0])
+            n_real = real.sum(axis=1)
+            assert (real == (np.arange(real.shape[1]) < n_real[:, None])).all()
+            assert (table.ids[~real] == _NO_ID).all()
+            for leaf_ids, n in zip(table.ids, n_real):
+                assert (np.diff(leaf_ids[:n]) > 0).all()
+            one_by_one = [np.concatenate(a) for a in zip(*(table.nearest(q[None])
+                                                         for q in queries))]
+            for block in (1, 3, table.block):
+                blocked = copy.copy(table)
+                blocked.block = block
+                for got, want in zip(blocked.nearest(queries), one_by_one, strict=True):
+                    assert same_bits(got, want)
+
+
 def ordered_norm(d):
     """The one order in which the index sums a difference's squares."""
     return math.sqrt(((d[0] * d[0] + d[2] * d[2]) + d[4] * d[4]) + (d[1] * d[1] + d[3] * d[3]))
@@ -250,21 +291,42 @@ def test_single_query_counts_scanned_leaves():
         assert 1 <= scanned[0, 0] <= tree.leaf_count
 
 
+def lanes(rng, ports, dest, n_routes, n_points):
+    """Route-like points: noisy straight runs from other ports to ports[dest],
+    each fix's last two components its run's scaled heading, as embedded."""
+    origin = ports[(dest + rng.integers(1, len(ports), size=n_routes)) % len(ports)]
+    run = ports[dest] - origin
+    pos = (origin[:, None] + rng.uniform(size=(n_routes, n_points, 1)) * run[:, None]
+           + rng.normal(0.0, 1e-3, size=(n_routes, n_points, 3)))
+    heading = 0.25 * run[:, :2] / np.linalg.norm(run[:, :2], axis=1, keepdims=True)
+    heading = np.broadcast_to(heading[:, None], (n_routes, n_points, 2))
+    return np.concatenate([pos, heading], axis=2).reshape(-1, 5)
+
+
 def test_kernel_temporaries_stay_bounded(canonical_routes):
     """Blocks are sized so one nearest() call over a long route allocates
-    a few BLOCK_BYTES at most, however many queries it holds."""
+    a few BLOCK_BYTES at most, however many queries it holds: on the
+    canonical model (320 leaves) and on a table shaped like the 10 x 250
+    fleet's, 10 ports of 9,000 route-like points in 5,120 leaves, whose
+    queries scan about 13 leaves a port."""
     train_part, val = split_routes(canonical_routes, 0.8, 0)
     model = train(train_part, ModelParams())
     longest = max(val, key=lambda r: len(r.points))
-    queries = embed_points(longest.points, model.params.weights)
-    assert len(queries) > model.table.block
-    tracemalloc.start()
-    try:
-        model.table.nearest(queries)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * BLOCK_BYTES
+    rng = np.random.default_rng(48)
+    ports = rng.normal(size=(10, 3))
+    fleet = BallTree(np.concatenate([lanes(rng, ports, g, 200, 45) for g in range(10)]),
+                     sizes=[9000] * 10).table
+    assert len(fleet.radius) == 5120
+    for table, queries in ((model.table, embed_points(longest.points, model.params.weights)),
+                           (fleet, lanes(rng, ports, 0, 1, 60))):
+        assert len(queries) > table.block
+        tracemalloc.start()
+        try:
+            table.nearest(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * BLOCK_BYTES
 
 
 def test_leaf_size_variations_agree():
@@ -419,8 +481,14 @@ def test_input_validation():
             BallTree(np.zeros((4, width)))
         with pytest.raises(ValueError):
             brute_nearest(np.zeros((4, width)), np.zeros(width))
-    with pytest.raises(ValueError):
-        BallTree(np.zeros((4, 5)), leaf_size=0)
+    # leaf_size is a positive integer: nan and inf compare as no split or
+    # always split, 2.5 and True split as 2 and 1
+    for leaf_size in (0, -3, np.int64(0), math.nan, math.inf, 2.5, 32.0, True, np.bool_(True),
+                      "32", None, np.array([4])):
+        with pytest.raises(ValueError, match="leaf_size must be a positive integer"):
+            BallTree(np.zeros((4, 5)), leaf_size=leaf_size)
+    for leaf_size in (2, np.int64(2), np.uint8(2)):
+        assert BallTree(np.zeros((4, 5)), leaf_size=leaf_size).leaf_count == 2
     # ids must be integers that int64 holds, which a cast would truncate
     # (floats), parse (strings) or wrap to negative ids (uint64s above its range)
     for ids in ([0.5, 1.5, 2.5, 3.5, 4.5], np.arange(5.0), list("01234"),
