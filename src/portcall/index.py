@@ -233,7 +233,7 @@ class BallTree:
 
     def __init__(self, points: np.ndarray, ids: Sequence[int] | None = None,
                  leaf_size: int = DEFAULT_LEAF_SIZE, sizes: Sequence[int] | None = None):
-        # a bool is an int, and nan, inf and 2.5 compare with one but split oddly
+        # bools are ints, and nan, inf or 2.5 pass a `< 1` check but split oddly
         if (not isinstance(leaf_size, (int, np.integer)) or isinstance(leaf_size, bool)
                 or leaf_size < 1):
             raise ValueError("leaf_size must be a positive integer")
