@@ -18,17 +18,17 @@ rejected. A field that contains a comma or a line break is a row error, and
 so is a row the CSV reader cannot read: a field over ``csv.field_size_limit()``,
 or text after a closing quote (``"abc"def``).
 Malformed rows are collected as RowError values, never silently dropped.
+A leading UTF-8 byte-order mark is dropped, from a file or a text.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from math import isfinite
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .geo import normalize_lon
 
@@ -62,8 +62,7 @@ class RowError:
     reason: str
 
 
-@dataclass(frozen=True)
-class AisRecord:
+class AisRecord(NamedTuple):
     """One parsed AIS message. Timestamps are UTC epoch seconds."""
 
     ship_id: str
@@ -90,6 +89,10 @@ _DATE_TIME = re.compile(r"(\d\d\d\d)-(1[0-2]|0[1-9]|[1-9])-(3[0-1]|[1-2]\d|0[1-9
 # format_timestamp can print; a date-time cannot leave it
 EPOCH_MIN, EPOCH_MAX = -62135596800, 253402300799
 
+# one line as a file opened with newline="" reads it: up to and including its
+# \r\n, \r or \n, or an unterminated last line; no other character ends one
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
 
 def parse_timestamp(text: str) -> int:
     """Parse ``YYYY-MM-DDTHH:MM:SS`` (UTC) or an epoch-seconds literal.
@@ -98,11 +101,31 @@ def parse_timestamp(text: str) -> int:
     and must name a real date and time: no ``02-30``, no second 60. The
     literal is anything ``int()`` reads that falls in years 1-9999.
     """
-    text = text.strip()
-    match = _DATE_TIME.fullmatch(text)
-    try:
+    return _timestamp(text.strip(), {})
+
+
+def _timestamp(text: str, days: dict[tuple[str, str, str], int]) -> int:
+    """``parse_timestamp`` of stripped ``text``; ``days`` maps the (year, month,
+    day) strings of each date read so far to its midnight epoch."""
+    # every date-time holds a T or t, and no int() literal can
+    if "T" in text or "t" in text:
+        match = _DATE_TIME.fullmatch(text)
         if match:
-            return int(datetime(*map(int, match.groups()), tzinfo=timezone.utc).timestamp())
+            year, month, day, hour, minute, second = match.groups()
+            date = year, month, day
+            midnight = days.get(date)
+            try:
+                if midnight is None:
+                    # a date that fails raises before it is stored: each of its rows reports it
+                    midnight = days[date] = int(datetime(
+                        int(year), int(month), int(day), tzinfo=timezone.utc).timestamp())
+                seconds = int(second)
+                if seconds > 59:  # the pattern takes 60 and 61, datetime does not
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"unparseable timestamp: {text!r}") from None
+            return midnight + int(hour) * 3600 + int(minute) * 60 + seconds
+    try:
         epoch = int(text)
     except ValueError:
         raise ValueError(f"unparseable timestamp: {text!r}") from None
@@ -137,8 +160,11 @@ def _opt_float(field: str, name: str, minimum: float | None = None) -> float | N
     return value
 
 
-def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> AisRecord:
-    """One data row to a record; ``arrivals`` caches parsed arrival times."""
+def _parse_row(fields: list[str], labeled: bool, names: dict[str, str],
+               days: dict[tuple[str, str, str], int], arrivals: dict[str, int]) -> AisRecord:
+    """One data row to a record. The tables last one parse: ``names`` holds one
+    object per ship id and upper-cased port name, ``days`` each date's midnight
+    epoch and ``arrivals`` each arrival time string's epoch."""
     if len(fields) != len(AIS_HEADER):
         raise ValueError(f"expected {len(AIS_HEADER)} fields, got {len(fields)}")
     joined = "".join(fields)
@@ -147,7 +173,7 @@ def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> Ai
     if "\n" in joined or "\r" in joined:
         raise ValueError("field contains a line break")
     (ship_id, ship_type, speed, lon, lat, course, heading, timestamp,
-     departure_port, draught, arrival_time, arrival_port) = [f.strip() for f in fields]
+     departure_port, draught, arrival_time, arrival_port) = map(str.strip, fields)
 
     if not ship_id:
         raise ValueError("empty ship id")
@@ -169,7 +195,7 @@ def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> Ai
     if heading_f is not None and not 0.0 <= heading_f < 360.0:
         raise ValueError("heading out of range")
 
-    ts = parse_timestamp(timestamp)
+    ts = _timestamp(timestamp, days)
     if not departure_port:
         raise ValueError("empty departure port")
     draught_f = _opt_float(draught, "draught", minimum=0.0)
@@ -180,22 +206,33 @@ def _parse_row(fields: list[str], labeled: bool, arrivals: dict[str, int]) -> Ai
         arrival_ts: int | None = arrivals.get(arrival_time)
         if arrival_ts is None:
             # a string that fails raises before it is stored: each of its rows reports it
-            arrival_ts = arrivals[arrival_time] = parse_timestamp(arrival_time)
+            arrival_ts = arrivals[arrival_time] = _timestamp(arrival_time, days)
         if arrival_ts < ts:
             raise ValueError("arrival time before timestamp")
         arrival_p: str | None = arrival_port.upper()
+        arrival_p = names.setdefault(arrival_p, arrival_p)
     else:
         if arrival_time or arrival_port:
             raise ValueError("unlabeled row carries arrival fields")
         arrival_ts = None
         arrival_p = None
 
-    return AisRecord(ship_id, ship_type_i, speed_f, lon_f, lat_f, course_f, heading_f, ts,
-                     departure_port.upper(), draught_f, arrival_ts, arrival_p)
+    departure_p = departure_port.upper()
+    return AisRecord(names.setdefault(ship_id, ship_id), ship_type_i, speed_f, lon_f, lat_f,
+                     course_f, heading_f, ts, names.setdefault(departure_p, departure_p),
+                     draught_f, arrival_ts, arrival_p)
 
 
 def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord], list[RowError]]:
     """Parse an AIS CSV stream into records plus per-row errors.
+
+    Text is read in place: one line at a time is cut from it, ending where a
+    file opened with ``newline=""`` ends its lines (``\\r\\n``, ``\\r`` or
+    ``\\n``), so text and file input with the same characters give the same
+    rows, errors and line numbers. One leading byte-order mark is dropped.
+    Each record is an immutable tuple; within one call every equal ship id
+    and port name is one ``str`` object, and each date's midnight epoch is
+    computed once. Every check applies to each row as it is read.
 
     Args:
         stream: CSV text, or a text-mode file object.
@@ -210,8 +247,9 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
             wrong columns.
     """
     if isinstance(stream, str):
-        # newline="" as for a file, so a lone \r splits rows the same way
-        stream = io.StringIO(stream, newline="")
+        # no copy of the text: lines are cut one at a time, after a leading BOM
+        start = 1 if stream.startswith("\ufeff") else 0
+        stream = map(re.Match.group, _LINE.finditer(stream, start))
     # strict: text after a closing quote is an error, not joined onto the field
     reader = csv.reader(stream, strict=True)
     try:
@@ -225,6 +263,8 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
 
     records: list[AisRecord] = []
     errors: list[RowError] = []
+    names: dict[str, str] = {}
+    days: dict[tuple[str, str, str], int] = {}
     arrivals: dict[str, int] = {}
     while True:
         # a quoted field may span lines: a row starts on the line after the last one read
@@ -234,7 +274,7 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
             if fields is None:
                 break
             if fields:
-                records.append(_parse_row(fields, labeled, arrivals))
+                records.append(_parse_row(fields, labeled, names, days, arrivals))
         except UnicodeDecodeError:
             raise  # a file that is not UTF-8 is fatal, wherever the bad byte sits
         except (csv.Error, ValueError) as exc:
@@ -244,7 +284,8 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
 
 
 def load_ais_csv(path: str, labeled: bool) -> tuple[list[AisRecord], list[RowError]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig: a leading byte-order mark is dropped, as text input drops it
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         return parse_ais_csv(fh, labeled)
 
 

@@ -17,7 +17,7 @@ from .geo import great_circle_km, initial_bearing_deg
 from .ingest import AisRecord
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutePoint:
     """One AIS point with route context attached by enrich_route."""
 

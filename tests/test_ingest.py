@@ -1,6 +1,7 @@
 """CSV ingestion: schema, row errors, timestamp formats, round-trips."""
 
 import re
+import tracemalloc
 from datetime import datetime, timezone
 from math import isfinite
 
@@ -222,6 +223,20 @@ def test_unreadable_header_is_fatal():
         parse_ais_csv(f"{OVERSIZED}\n{GOOD_LABELED}\n", labeled=True)
 
 
+def _text_and_file(tmp_path, text: str):
+    """The outcome of parsing ``text`` as a string and as a file of its UTF-8
+    bytes: (records, errors), or the fatal error's type and message."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for parse, source in ((parse_ais_csv, text), (load_ais_csv, str(path))):
+        try:
+            outcomes.append(parse(source, labeled=True))
+        except AisFormatError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
 @pytest.mark.parametrize("rows, lines", [
     # an unquoted lone \r ends a row: "SHIP_A" alone is line 3, the rest line 4
     ([GOOD_LABELED, GOOD_LABELED.replace("SHIP_A,", "SHIP_A\r,")], [3, 4]),
@@ -230,11 +245,8 @@ def test_unreadable_header_is_fatal():
       GOOD_LABELED.replace(",12.5,", ",-1,")], [3, 6]),
 ])
 def test_text_and_file_input_agree_on_carriage_returns(tmp_path, rows, lines):
-    text = HEADER + "\n" + "\n".join(rows) + "\n"
-    path = tmp_path / "cr.csv"
-    path.write_bytes(text.encode("utf-8"))
-    from_text = parse_ais_csv(text, labeled=True)
-    assert from_text == load_ais_csv(str(path), labeled=True)
+    from_text, from_file = _text_and_file(tmp_path, HEADER + "\n" + "\n".join(rows) + "\n")
+    assert from_text == from_file
     assert [e.line for e in from_text[1]] == lines
 
 
@@ -248,6 +260,101 @@ def test_non_utf8_byte_past_first_read_chunk_is_fatal(tmp_path):
     path.write_bytes(text.encode("latin-1"))
     with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xe9"):
         load_ais_csv(str(path), labeled=True)
+
+
+# str.splitlines ends a line at each of these; a file opened with newline="" does not
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_text_and_file_input_agree_on_other_unicode_line_boundaries(tmp_path, char):
+    unquoted = GOOD_LABELED.replace("SHIP_A", f"SHIP{char}A")
+    quoted = GOOD_LABELED.replace(",MARSEILLE,", f',"MAR{char}SEILLE",')
+    text = HEADER + "\n" + "\n".join([unquoted, quoted, GOOD_LABELED]) + "\n"
+    from_text, from_file = _text_and_file(tmp_path, text)
+    assert from_text == from_file
+    records, errors = from_text
+    assert errors == []
+    assert [r.ship_id for r in records] == [f"SHIP{char}A", "SHIP_A", "SHIP_A"]
+    assert [r.departure_port for r in records] == ["MARSEILLE", f"MAR{char}SEILLE",
+                                                   "MARSEILLE"]
+
+
+@pytest.mark.parametrize("text, rows", [
+    (f"{HEADER}\n{GOOD_LABELED}", 1),  # no final line break
+    (f"{HEADER}\n{GOOD_LABELED}\r", 1),  # a trailing lone \r
+    (f"{HEADER}\r\n{GOOD_LABELED}\r\r\n{GOOD_LABELED}", 2),  # \r, then \r\n: an empty line
+    (f"{HEADER}\n", 0),  # header only
+    (HEADER, 0),
+    ("", None),  # empty: fatal
+    ("\n", None),  # an empty header line: fatal
+])
+def test_text_and_file_input_agree_on_line_ends(tmp_path, text, rows):
+    from_text, from_file = _text_and_file(tmp_path, text)
+    assert from_text == from_file
+    if rows is None:
+        assert from_text[0] is AisFormatError
+    else:
+        assert len(from_text[0]) == rows and from_text[1] == []
+
+
+def test_byte_order_mark_is_dropped_from_text():
+    text = f"{HEADER}\n{GOOD_LABELED}\n"
+    assert parse_ais_csv("\ufeff" + text, labeled=True) == parse_ais_csv(text, labeled=True)
+    # only one: a second mark is part of the header
+    with pytest.raises(AisFormatError, match="unexpected header"):
+        parse_ais_csv("\ufeff\ufeff" + text, labeled=True)
+
+
+def test_byte_order_mark_is_dropped_from_file(tmp_path):
+    text = f"{HEADER}\n{GOOD_LABELED}\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_ais_csv(str(path), labeled=True) == parse_ais_csv(text, labeled=True)
+
+
+def test_text_input_is_read_without_a_copy(canonical_records):
+    text = records_to_csv(canonical_records)
+    tracemalloc.start()
+    try:
+        records, errors = parse_ais_csv(text, labeled=True)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == len(canonical_records) and errors == []
+    # what the parse held beyond its result: a copy of the text would be
+    # at least as long as the text, one byte per character
+    assert peak - live < len(text) // 2
+
+
+def test_records_are_immutable():
+    (rec,) = parse_ais_csv(f"{HEADER}\n{GOOD_LABELED}\n", labeled=True)[0]
+    with pytest.raises(AttributeError):
+        rec.speed_knots = 1.0
+    with pytest.raises(AttributeError):
+        rec.note = "x"
+    # the field names, their order and the two defaults
+    assert AisRecord._fields == (
+        "ship_id", "ship_type", "speed_knots", "lon_deg", "lat_deg", "course_deg",
+        "heading_deg", "timestamp", "departure_port", "draught", "arrival_time",
+        "arrival_port")
+    assert AisRecord(*rec[:10]) == rec._replace(arrival_time=None, arrival_port=None)
+
+
+def test_equal_names_are_one_object_within_a_parse():
+    rows = [GOOD_LABELED,
+            GOOD_LABELED.replace("10:00:00", "11:00:00"),
+            # a lower-case port and a ship id that equals a port name
+            GOOD_LABELED.replace("SHIP_A", "GENOVA").replace("MARSEILLE", " marseille")
+            .replace(",GENOVA", ",genova")]
+    records, errors = parse_ais_csv(HEADER + "\n" + "\n".join(rows) + "\n", labeled=True)
+    assert errors == []
+    first, second, third = records
+    assert second.ship_id is first.ship_id
+    assert second.departure_port is first.departure_port
+    assert third.departure_port is first.departure_port == "MARSEILLE"
+    assert third.arrival_port is first.arrival_port == "GENOVA"
+    assert third.ship_id is first.arrival_port
 
 
 def test_labeled_requires_arrival_fields():
@@ -381,6 +488,26 @@ def oracle_parse_row(fields: list[str], labeled: bool) -> AisRecord:
         arrival_time=arrival_ts,
         arrival_port=arrival_p,
     )
+
+
+def test_bad_date_is_reported_on_each_row():
+    stamps = ["2018-02-30T01:00:00", "2018-02-30T02:00:00", "2018-03-01T10:00:00",
+              "2018-02-30T01:00:00"]
+    rows = [GOOD_LABELED.replace("2018-03-01T10:00:00", s) for s in stamps]
+    records, errors = parse_ais_csv(HEADER + "\n" + "\n".join(rows) + "\n", labeled=True)
+    assert len(records) == 1
+    assert errors == [RowError(line, f"unparseable timestamp: {stamps[line - 2]!r}")
+                      for line in (2, 3, 5)]
+
+
+def test_padded_and_unpadded_dates_give_the_oracle_epochs():
+    stamps = ["2018-01-05T10:00:00", "2018-1-5T10:00:00", "2018-1-5T1:2:3",
+              "2018-01-5T23:59:59", "2018-01- 5t00:00:00", "2018-01-05T00:00:00"]
+    rows = [GOOD_LABELED.replace("2018-03-01T10:00:00", s) for s in stamps]
+    records, errors = parse_ais_csv(HEADER + "\n" + "\n".join(rows) + "\n", labeled=True)
+    assert errors == []
+    assert [r.timestamp for r in records] == [oracle_parse_timestamp(s) for s in stamps]
+    assert [parse_timestamp(s) for s in stamps] == [r.timestamp for r in records]
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")

@@ -17,6 +17,13 @@ def make_record(ship="SHIP_A", lon=0.0, lat=0.0, ts=1000, dep="ALFA",
                      arrival_time=arr_time, arrival_port=arr_port)
 
 
+def test_route_point_takes_no_new_attribute():
+    point = RoutePoint(0, make_record())
+    point.bearing_deg = 90.0  # enrich_route sets the declared fields
+    with pytest.raises(AttributeError):
+        point.bearing = 90.0
+
+
 def test_grouping_two_keys():
     records = [
         make_record(ts=1000), make_record(ts=1100), make_record(ts=1200),
