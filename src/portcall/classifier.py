@@ -33,6 +33,10 @@ from .routes import Route, RoutePoint
 NORM_SPEED_KNOTS = 50.0
 NORM_DIST_KM = 100.0
 
+# a (query point, candidate) pair's great-circle km and its course, heading,
+# speed and distance differences: what similarity weighs with the penalties
+Terms = tuple[float, float, float, float, float]
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -66,8 +70,17 @@ class PortIndex:
 @dataclass
 class Model:
     params: ModelParams
-    per_port: dict[str, PortIndex]  # classify_points reads only its points and order
+    per_port: dict[str, PortIndex]
     table: LeafTable  # every port's leaves, one group per port in port order
+    # id(query point) -> (the point, {candidate point id: its pair_terms}),
+    # shared by the models of one GA run; train leaves it None
+    terms_table: dict[int, tuple[RoutePoint, dict[int, Terms]]] | None = field(
+        default=None, repr=False)
+    port_points: list[tuple[str, dict[int, RoutePoint]]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # what classify_points reads of per_port, in port order
+        self.port_points = [(port, ix.points) for port, ix in self.per_port.items()]
 
     @property
     def ports(self) -> list[str]:
@@ -155,13 +168,12 @@ def train(routes: list[Route], params: ModelParams) -> Model:
     return Model(params=params, per_port=per_port, table=tree.table)
 
 
-def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
-    """Similarity factor between a query point and a candidate; lower is
-    more similar, and 0 means an exact positional match.
-
-    The great-circle distance is inflated by one (1 + penalty * diff) factor
-    per attribute, each diff normalized into [0, 1]. A heading missing on
-    either side contributes nothing: absent data is not dissimilarity.
+def pair_terms(q: RoutePoint, c: RoutePoint) -> Terms:
+    """The parts of a query point's similarity to a candidate that no
+    parameter changes: the great-circle km and the course, heading, speed
+    and distance-from-departure differences, each normalized into [0, 1].
+    A heading missing on either side differs by 0: absent data is not
+    dissimilarity.
     """
     gcd = great_circle_km(q.record.lat_deg, q.record.lon_deg,
                           c.record.lat_deg, c.record.lon_deg)
@@ -173,11 +185,24 @@ def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
         d_heading = angular_diff_deg(q_heading, c_heading) / 180.0
     d_speed = min(abs(q.record.speed_knots - c.record.speed_knots) / NORM_SPEED_KNOTS, 1.0)
     d_dist = min(abs(q.dist_from_departure_km - c.dist_from_departure_km) / NORM_DIST_KM, 1.0)
+    return gcd, d_course, d_heading, d_speed, d_dist
+
+
+def weigh(terms: Terms, params: ModelParams) -> float:
+    """The great-circle km of ``terms`` inflated by one (1 + penalty * diff)
+    factor per attribute, multiplied in this order."""
+    gcd, d_course, d_heading, d_speed, d_dist = terms
     return (gcd
             * (1.0 + params.p_course * d_course)
             * (1.0 + params.p_heading * d_heading)
             * (1.0 + params.p_speed * d_speed)
             * (1.0 + params.p_dist * d_dist))
+
+
+def similarity(q: RoutePoint, c: RoutePoint, params: ModelParams) -> float:
+    """Similarity factor between a query point and a candidate; lower is
+    more similar, and 0 means an exact positional match."""
+    return weigh(pair_terms(q, c), params)
 
 
 def classify_points(model: Model, state: RouteState,
@@ -186,20 +211,44 @@ def classify_points(model: Model, state: RouteState,
     points of one route, in order, as classify_point would one by one.
 
     The arrival estimate always follows the similarity winner, even when
-    smoothing overrides the emitted port.
+    smoothing overrides the emitted port. Each (point, candidate) pair's
+    terms come from ``model.terms_table`` when it holds them; without a
+    table they are computed afresh, and nothing outlives the point.
     """
-    ids = model.table.nearest(embed_points(points, model.params.weights))[0]
-    indexes = list(model.per_port.items())
+    params = model.params
+    ids = model.table.nearest(embed_points(points, params.weights))[0]
+    known = model.terms_table
+    port_points = model.port_points
     out = []
     for q, row in zip(points, ids.tolist()):
-        # the least similarity wins, then the smallest point id
-        cands = [(port, ix.points[pid]) for (port, ix), pid in zip(indexes, row)]
-        _, _, winner_port, winner = min((similarity(q, c, model.params), c.point_id, port, c)
-                                        for port, c in cands)
-        smoothed = state.push(winner_port)
-        port = smoothed if model.params.smoothing_enabled else winner_port
+        if known is None:
+            terms = {}
+        else:
+            # Keyed by id(q), not q.point_id: held-out ids from two
+            # partition_routes calls can repeat. The entry holds q, so no other
+            # point can take its id while the table lives. Threads replaying
+            # one holdout share the table safely: a route is replayed by one
+            # thread, so each entry has one writer, and one dict store is
+            # atomic; a lost store would only cost a recomputation, since the
+            # terms depend on the pair alone.
+            entry = known.get(id(q))
+            if entry is None:
+                entry = known[id(q)] = (q, {})
+            terms = entry[1]
+        best_s = best_pid = best_port = best_points = None
+        for (port, candidates), pid in zip(port_points, row):
+            t = terms.get(pid)
+            if t is None:
+                t = terms[pid] = pair_terms(q, candidates[pid])
+            s = weigh(t, params)
+            # the least similarity wins, then the smallest point id
+            if best_s is None or s < best_s or (s == best_s and pid < best_pid):
+                best_s, best_pid, best_port, best_points = s, pid, port, candidates
+        winner = best_points[best_pid]
+        smoothed = state.push(best_port)
+        port = smoothed if params.smoothing_enabled else best_port
         out.append(Prediction(port, q.record.timestamp + winner.remaining_time_s,
-                              winner_port, winner.point_id))
+                              best_port, best_pid))
     return out
 
 

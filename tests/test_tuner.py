@@ -1,10 +1,17 @@
 """Genetic algorithm: fitness formula, splits, evolution invariants."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from portcall.classifier import ModelParams
+import portcall.classifier
+import portcall.tuner
+from portcall.classifier import ModelParams, train
 from portcall.embedding import FeatureWeights
+from portcall.evaluation import replay_route
+from portcall.geo import normalize_lon
 from portcall.ingest import AisRecord
 from portcall.params import format_params, parse_params
 from portcall.routes import enrich_route, partition_routes
@@ -13,6 +20,7 @@ from portcall.tuner import (
     GENE_HIGH,
     GENE_LOW,
     GENE_NAMES,
+    PENALTY_MAX,
     GaConfig,
     Genome,
     evolve,
@@ -197,3 +205,139 @@ def test_ga_config_lambda_and_split_are_constants(name):
     assert getattr(GaConfig(), name) == getattr(GaConfig, name)
     with pytest.raises(TypeError):
         GaConfig(**{name: getattr(GaConfig, name)})
+
+
+def antimeridian_routes(seed, n_routes=12):
+    """Routes toward three ports on both sides of the antimeridian, from
+    starts 5-15 degrees east or west of it, so their longitudes wrap. A
+    quarter of the headings are missing; courses and speeds vary by fix."""
+    rng = np.random.default_rng(seed)
+    ports = [("EAST", 10.0, -175.0), ("WEST", -5.0, 176.0), ("NORTH", 25.0, 179.5)]
+    records = []
+    for k in range(n_routes):
+        port, port_lat, port_lon = ports[k % len(ports)]
+        start_lat = rng.uniform(-20.0, 30.0)
+        start_lon = port_lon + rng.choice([-1.0, 1.0]) * rng.uniform(5.0, 15.0)
+        n = int(rng.integers(6, 10))
+        arrival = 600 * n
+        for j in range(n):
+            f = j / n
+            course = float(rng.uniform(0.0, 360.0))
+            records.append(AisRecord(
+                ship_id=f"S{k}", ship_type=70, speed_knots=float(rng.uniform(0.0, 60.0)),
+                lon_deg=normalize_lon(start_lon + f * (port_lon - start_lon)),
+                lat_deg=start_lat + f * (port_lat - start_lat), course_deg=course,
+                heading_deg=None if rng.random() < 0.25 else (course + 5.0) % 360.0,
+                timestamp=600 * j, departure_port="ALFA", draught=None,
+                arrival_time=arrival, arrival_port=port))
+    routes = partition_routes(records)
+    for r in routes:
+        enrich_route(r)
+    return routes
+
+
+def sweep_genomes():
+    """Fourteen genomes: the defaults, every gene at its low or high bound,
+    mixed extremes, one with vanishing weights, and seeded random ones."""
+    assert GENE_HIGH[-1] == PENALTY_MAX
+    genomes = [Genome.default(), Genome.from_array(GENE_LOW), Genome.from_array(GENE_HIGH),
+               Genome(1.0, 0.0, 0.0, 0.0, 1.0, 0.0, PENALTY_MAX, 0.0, PENALTY_MAX),
+               Genome(0.0, 1.0, 1.0, 1.0, 0.0, PENALTY_MAX, 0.0, PENALTY_MAX, 0.0),
+               Genome(1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, PENALTY_MAX, 1e-12, 1.0)]
+    rng = np.random.default_rng(126)
+    genomes += [Genome.from_array(rng.uniform(GENE_LOW, GENE_HIGH)) for _ in range(8)]
+    return genomes
+
+
+def test_shared_terms_table_is_exact_across_genomes():
+    """One table shared by every fitness call gives the fitness, and every
+    prediction, that a call without one gives."""
+    routes = antimeridian_routes(26)
+    tr, va = split_routes(routes, 0.7, seed=1)
+    held_out = sum(len(r.points) for r in va)
+    assert any(p.record.heading_deg is None for r in va for p in r.points)
+    assert any(p.record.lon_deg > 175.0 for r in va for p in r.points)
+    assert any(p.record.lon_deg < -175.0 for r in va for p in r.points)
+    table = {}
+    genomes = sweep_genomes()
+    assert len(genomes) >= 12
+    for g in genomes:
+        assert fitness(g, tr, va, terms_table=table) == fitness(g, tr, va)
+        alone, shared = train(tr, g.to_params()), train(tr, g.to_params())
+        assert alone.terms_table is None
+        shared.terms_table = table
+        assert [replay_route(shared, r) for r in va] == [replay_route(alone, r) for r in va]
+    # one entry per held-out fix, reused by later genomes
+    assert len(table) == held_out
+    pairs = sum(len(terms) for _, terms in table.values())
+    assert held_out <= pairs < len(genomes) * held_out * 3
+
+
+def test_terms_table_keeps_repeated_held_out_ids_apart():
+    """Held-out routes from two partition_routes calls repeat point ids; the
+    table still keeps one entry per fix, and the fitness stays exact."""
+    first, second = antimeridian_routes(3, n_routes=6), antimeridian_routes(4, n_routes=6)
+    tr = antimeridian_routes(5, n_routes=3)
+    va = first + second
+    ids = [p.point_id for r in va for p in r.points]
+    assert len(set(ids)) < len(ids)
+    table = {}
+    for g in sweep_genomes()[:4]:
+        assert fitness(g, tr, va, terms_table=table) == fitness(g, tr, va)
+    assert len(table) == len(ids)
+
+
+def test_terms_table_shared_by_more_threads_than_cores(monkeypatch):
+    """Eight replay threads, switching every microsecond, fill one table: every
+    pair computed is kept once, and the fitness stays exact."""
+    routes = antimeridian_routes(8, n_routes=24)
+    tr, va = split_routes(routes, 0.5, seed=2)
+    plain = portcall.classifier.pair_terms
+    computed = []
+    lock = threading.Lock()
+
+    def counted(q, c):
+        with lock:
+            computed.append((id(q), c.point_id))
+        return plain(q, c)
+    monkeypatch.setattr(portcall.classifier, "pair_terms", counted)
+    table = {}
+    genomes = sweep_genomes()[:4]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = [fitness(g, tr, va, workers=8, terms_table=table) for g in genomes]
+    finally:
+        sys.setswitchinterval(interval)
+    # a lost store would leave a computed pair out, or compute it twice
+    assert sorted(computed) == sorted((key, pid) for key, (_, terms) in table.items()
+                                      for pid in terms)
+    assert len(table) == sum(len(r.points) for r in va)
+    assert shared == [fitness(g, tr, va) for g in genomes]
+
+
+def without_terms_table(monkeypatch):
+    """Make evolve's fitness calls drop the table it passes; returns the list
+    of tables dropped."""
+    plain = portcall.tuner.fitness
+    dropped = []
+
+    def fitness_alone(*args, terms_table=None, **kwargs):
+        dropped.append(terms_table)
+        return plain(*args, **kwargs)
+    monkeypatch.setattr(portcall.tuner, "fitness", fitness_alone)
+    return dropped
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evolve_with_terms_table_equals_without(canonical_routes, monkeypatch, workers):
+    routes = canonical_routes[:24]
+    best, hist = evolve(routes, SMALL_GA, workers=workers)
+    dropped = without_terms_table(monkeypatch)
+    best_alone, hist_alone = evolve(routes, SMALL_GA, workers=workers)
+    assert best == best_alone
+    assert [(h.generation, h.best_fitness, h.mean_fitness) for h in hist] == \
+           [(h.generation, h.best_fitness, h.mean_fitness) for h in hist_alone]
+    # evolve reaches fitness through the module and passes one table per run
+    assert dropped and dropped[0] is not None
+    assert all(t is dropped[0] for t in dropped)
