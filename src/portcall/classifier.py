@@ -72,9 +72,10 @@ class Model:
     params: ModelParams
     per_port: dict[str, PortIndex]
     table: LeafTable  # every port's leaves, one group per port in port order
-    # id(query point) -> (the point, {candidate point id: its pair_terms}),
-    # shared by the models of one GA run; train leaves it None
-    terms_table: dict[int, tuple[RoutePoint, dict[int, Terms]]] | None = field(
+    # {query point: {candidate point: pair_terms}}, shared by one GA run's models
+    # and exact however shared; it keeps alive every point it has seen, which
+    # must not change while it lives. train leaves it None
+    terms_table: dict[RoutePoint, dict[RoutePoint, Terms]] | None = field(
         default=None, repr=False)
     port_points: list[tuple[str, dict[int, RoutePoint]]] = field(init=False, repr=False)
 
@@ -212,39 +213,29 @@ def classify_points(model: Model, state: RouteState,
 
     The arrival estimate always follows the similarity winner, even when
     smoothing overrides the emitted port. Each (point, candidate) pair's
-    terms come from ``model.terms_table`` when it holds them; without a
-    table they are computed afresh, and nothing outlives the point.
+    terms come from ``model.terms_table`` when it holds them; a model
+    without one keeps them in a table of this call's own.
     """
     params = model.params
     ids = model.table.nearest(embed_points(points, params.weights))[0]
-    known = model.terms_table
+    # Threads replaying one holdout share a table safely: a route is replayed
+    # by one thread, so each query point has one writer, and one dict store
+    # is atomic; a lost store would only cost a recomputation.
+    known = {} if model.terms_table is None else model.terms_table
     port_points = model.port_points
     out = []
     for q, row in zip(points, ids.tolist()):
-        if known is None:
-            terms = {}
-        else:
-            # Keyed by id(q), not q.point_id: held-out ids from two
-            # partition_routes calls can repeat. The entry holds q, so no other
-            # point can take its id while the table lives. Threads replaying
-            # one holdout share the table safely: a route is replayed by one
-            # thread, so each entry has one writer, and one dict store is
-            # atomic; a lost store would only cost a recomputation, since the
-            # terms depend on the pair alone.
-            entry = known.get(id(q))
-            if entry is None:
-                entry = known[id(q)] = (q, {})
-            terms = entry[1]
-        best_s = best_pid = best_port = best_points = None
+        terms = known.setdefault(q, {})
+        best_s = best_pid = best_port = winner = None
         for (port, candidates), pid in zip(port_points, row):
-            t = terms.get(pid)
+            c = candidates[pid]
+            t = terms.get(c)
             if t is None:
-                t = terms[pid] = pair_terms(q, candidates[pid])
+                t = terms[c] = pair_terms(q, c)
             s = weigh(t, params)
             # the least similarity wins, then the smallest point id
             if best_s is None or s < best_s or (s == best_s and pid < best_pid):
-                best_s, best_pid, best_port, best_points = s, pid, port, candidates
-        winner = best_points[best_pid]
+                best_s, best_pid, best_port, winner = s, pid, port, c
         smoothed = state.push(best_port)
         port = smoothed if params.smoothing_enabled else best_port
         out.append(Prediction(port, q.record.timestamp + winner.remaining_time_s,

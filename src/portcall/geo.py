@@ -47,7 +47,8 @@ def initial_bearing_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> f
     dlam = radians(dlon)
     y = sin(dlam) * cos(phi2)
     x = cos(phi1) * sin(phi2) - sin(phi1) * cos(phi2) * cos(dlam)
-    return degrees(atan2(y, x)) % 360.0
+    bearing = degrees(atan2(y, x)) % 360.0
+    return 0.0 if bearing == 360.0 else bearing  # a hair west of north rounds up to 360
 
 
 def angular_diff_deg(a: float, b: float) -> float:

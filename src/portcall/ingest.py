@@ -27,6 +27,7 @@ import csv
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, islice
 from math import isfinite
 from typing import IO, Iterable, NamedTuple
 
@@ -246,12 +247,13 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
         AisFormatError: the header line is missing, unreadable or has the
             wrong columns.
     """
-    if isinstance(stream, str):
-        # no copy of the text: lines are cut one at a time, after a leading BOM
-        start = 1 if stream.startswith("\ufeff") else 0
-        stream = map(re.Match.group, _LINE.finditer(stream, start))
+    # no copy of the text: lines are cut one at a time
+    lines = (map(re.Match.group, _LINE.finditer(stream)) if isinstance(stream, str)
+             else iter(stream))
+    # the first line loses one byte-order mark, and is gone if that was all of it
+    first = [line.removeprefix("\ufeff") for line in islice(lines, 1)]
     # strict: text after a closing quote is an error, not joined onto the field
-    reader = csv.reader(stream, strict=True)
+    reader = csv.reader(chain(filter(None, first), lines), strict=True)
     try:
         header = next(reader)
     except StopIteration:
@@ -284,8 +286,7 @@ def parse_ais_csv(stream: str | IO[str], labeled: bool) -> tuple[list[AisRecord]
 
 
 def load_ais_csv(path: str, labeled: bool) -> tuple[list[AisRecord], list[RowError]]:
-    # utf-8-sig: a leading byte-order mark is dropped, as text input drops it
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_ais_csv(fh, labeled)
 
 

@@ -17,9 +17,11 @@ from .geo import great_circle_km, initial_bearing_deg
 from .ingest import AisRecord
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class RoutePoint:
-    """One AIS point with route context attached by enrich_route."""
+    """One AIS point with route context attached by enrich_route. Points
+    compare and hash by identity: two points with equal fields are two
+    points."""
 
     point_id: int
     record: AisRecord

@@ -15,14 +15,16 @@ The genomes of one ``evolve`` call share one table of pair terms. A genome
 moves the embedding, which can change each port's nearest candidate for a
 held-out fix, and it changes the penalties; but ``pair_terms`` of one
 (held-out fix, candidate) pair, the great-circle km and four differences,
-depends on the two points alone. So ``evolve`` keeps those terms, and each
-later genome that meets the pair weighs them with its own penalties: the same
-floats multiplied in the same order, so every similarity and every fitness
-keeps its bits. The table holds at most (held-out fixes) x (distinct
-candidates per fix) pairs and lives only as long as the ``evolve`` call. The
-benchmark's tune-small run (population 16, 3 generations) looks up 50,388
-pairs, 5,284 of them distinct (1.1 MB); the CLI-default ``tune`` of the
-canonical data keeps 116,707 pairs, which raised its peak RSS from 60 to 91 MB.
+depends on the two points alone. So ``evolve`` keeps those terms, keyed by
+the two points themselves (points compare by identity), and each later genome
+that meets the pair weighs them with its own penalties: the same floats
+multiplied in the same order, so every similarity and every fitness keeps its
+bits, however the table is shared. The table keeps alive every point it has
+seen, which must not change while it lives; it holds at most (held-out fixes)
+x (distinct candidates per fix) pairs and lives only as long as the ``evolve``
+call. The benchmark's tune-small run (population 16, 3 generations) looks up
+50,388 pairs, 5,284 of them distinct (1.1 MB); the CLI-default ``tune`` of the
+canonical data keeps 116,707 pairs, which raise its peak RSS from 60 to 87 MB.
 """
 
 from __future__ import annotations
@@ -113,9 +115,8 @@ def fitness(genome: Genome, train_routes: list[Route], val_routes: list[Route],
     Trains on ``genome.to_params()`` and replays the holdout routes on
     ``workers`` threads; the value is the same for any worker count. A
     ``terms_table`` lends the replay the pair terms of earlier calls and
-    takes in the new ones; the value is the same with or without it. Its
-    candidates are keyed by point id, so share one table only between calls
-    on the same training routes, as ``evolve`` does.
+    takes in the new ones; the value is the same with or without it, since
+    it is keyed by the two points however it is shared.
     """
     if not train_routes or not val_routes:
         raise ValueError("both splits must be non-empty")

@@ -69,6 +69,8 @@ def assert_batch_equals_stream(model, routes, rng):
     serial = score_dataset(model, routes, workers=1)
     assert serial.per_route == [score_route(model, r) for r in routes]
     assert score_dataset(model, routes, workers=4) == serial
+    # each call's own terms table never outlives the call
+    assert model.terms_table is None
     return out
 
 

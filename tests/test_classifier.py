@@ -288,6 +288,14 @@ def test_route_state_matches_oracle_sweep():
         emitted = [state.push(p) for p in history]
         assert emitted == [earliest_strict_longest_run(history[:k + 1])
                            for k in range(len(history))]
+    # however long the stream, the state stays its four scalar fields
+    state = RouteState()
+    names = vars(state).keys()
+    assert len(names) == 4
+    for port in rng.choice(["A", "B", "C"], size=20000, p=[0.6, 0.3, 0.1]).tolist():
+        state.push(port)
+        assert vars(state).keys() == names
+        assert all(type(v) in (str, int) for v in vars(state).values())
 
 
 def test_route_state_never_flips_on_tie():

@@ -84,6 +84,12 @@ def test_bearing_range_and_coincident():
             continue
         assert b is not None
         assert 0.0 <= b < 360.0
+    # a hair west of north: the bearing's % 360 must not round up to 360
+    for lat1 in (-80.0, -30.0, 0.0, 10.0, 45.0, 88.0):
+        for exponent in [*rng.uniform(0.0, 300.0, size=30), 16.0, 300.0]:
+            b = initial_bearing_deg(lat1, 0.0, lat1 + 1.0, -(10.0 ** -exponent))
+            assert 0.0 <= b < 360.0
+    assert initial_bearing_deg(10.0, 0.0, 11.0, -1e-16) == 0.0
     assert initial_bearing_deg(10.0, 20.0, 10.0, 20.0) is None
 
 

@@ -1,5 +1,6 @@
 """CSV ingestion: schema, row errors, timestamp formats, round-trips."""
 
+import io
 import re
 import tracemalloc
 from datetime import datetime, timezone
@@ -311,6 +312,29 @@ def test_byte_order_mark_is_dropped_from_file(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert load_ais_csv(str(path), labeled=True) == parse_ais_csv(text, labeled=True)
+
+
+@pytest.mark.parametrize("kind", ["str", "stream", "file"])
+def test_byte_order_mark_is_dropped_from_every_input_kind(tmp_path, kind):
+    def parse(text):
+        if kind == "str":
+            return parse_ais_csv(text, labeled=True)
+        if kind == "stream":
+            return parse_ais_csv(io.StringIO(text, newline=""), labeled=True)
+        path = tmp_path / "input.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return load_ais_csv(str(path), labeled=True)
+
+    quoted_header = ",".join(f'"{h}"' for h in AIS_HEADER)
+    text = f"{quoted_header}\r\n{GOOD_LABELED}\r\nnot a row\r\n{GOOD_LABELED}\n"
+    records, errors = parse_ais_csv(text, labeled=True)
+    assert len(records) == 2 and [e.line for e in errors] == [3]
+    assert parse("\ufeff" + text) == (records, errors)
+    # only one: a second mark is part of the header
+    with pytest.raises(AisFormatError, match="unexpected header"):
+        parse("\ufeff\ufeff" + text)
+    with pytest.raises(AisFormatError, match="empty input"):
+        parse("\ufeff")
 
 
 def test_text_input_is_read_without_a_copy(canonical_records):

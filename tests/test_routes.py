@@ -24,6 +24,13 @@ def test_route_point_takes_no_new_attribute():
         point.bearing = 90.0
 
 
+def test_route_points_compare_by_identity():
+    record = make_record()
+    a, b = RoutePoint(0, record), RoutePoint(0, record)
+    assert a == a and a != b
+    assert len({a: "a", b: "b"}) == 2
+
+
 def test_grouping_two_keys():
     records = [
         make_record(ts=1000), make_record(ts=1100), make_record(ts=1200),

@@ -10,7 +10,7 @@ import portcall.classifier
 import portcall.tuner
 from portcall.classifier import ModelParams, train
 from portcall.embedding import FeatureWeights
-from portcall.evaluation import replay_route
+from portcall.evaluation import SyntheticConfig, replay_route, synth_records
 from portcall.geo import normalize_lon
 from portcall.ingest import AisRecord
 from portcall.params import format_params, parse_params
@@ -267,9 +267,10 @@ def test_shared_terms_table_is_exact_across_genomes():
         assert alone.terms_table is None
         shared.terms_table = table
         assert [replay_route(shared, r) for r in va] == [replay_route(alone, r) for r in va]
-    # one entry per held-out fix, reused by later genomes
+    # one entry per held-out fix, keyed by the fix itself, reused by later genomes
     assert len(table) == held_out
-    pairs = sum(len(terms) for _, terms in table.values())
+    assert table.keys() == {p for r in va for p in r.points}
+    pairs = sum(len(terms) for terms in table.values())
     assert held_out <= pairs < len(genomes) * held_out * 3
 
 
@@ -287,6 +288,29 @@ def test_terms_table_keeps_repeated_held_out_ids_apart():
     assert len(table) == len(ids)
 
 
+def test_terms_table_shared_across_training_splits_is_exact():
+    """Two training splits from separate partition_routes calls repeat point
+    ids; one table shared by models of both still gives, for every genome,
+    the predictions a model without a table gives."""
+    routes = partition_routes(synth_records(SyntheticConfig(n_ports=3, routes_per_port=12,
+                                                            seed=5)))
+    train_a, train_b, va = [partition_routes([p.record for r in routes[k::3] for p in r.points])
+                            for k in range(3)]
+    for r in train_a + train_b + va:
+        enrich_route(r)
+    assert {p.point_id for r in train_a for p in r.points} & \
+           {p.point_id for r in train_b for p in r.points}
+    rng = np.random.default_rng(27)
+    table = {}
+    for _ in range(6):
+        params = Genome.from_array(rng.uniform(GENE_LOW, GENE_HIGH)).to_params()
+        for tr in (train_a, train_b):
+            alone, shared = train(tr, params), train(tr, params)
+            shared.terms_table = table
+            assert [replay_route(shared, r) for r in va] == [replay_route(alone, r) for r in va]
+    assert len(table) == sum(len(r.points) for r in va)
+
+
 def test_terms_table_shared_by_more_threads_than_cores(monkeypatch):
     """Eight replay threads, switching every microsecond, fill one table: every
     pair computed is kept once, and the fitness stays exact."""
@@ -298,7 +322,7 @@ def test_terms_table_shared_by_more_threads_than_cores(monkeypatch):
 
     def counted(q, c):
         with lock:
-            computed.append((id(q), c.point_id))
+            computed.append((id(q), id(c)))
         return plain(q, c)
     monkeypatch.setattr(portcall.classifier, "pair_terms", counted)
     table = {}
@@ -310,8 +334,8 @@ def test_terms_table_shared_by_more_threads_than_cores(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     # a lost store would leave a computed pair out, or compute it twice
-    assert sorted(computed) == sorted((key, pid) for key, (_, terms) in table.items()
-                                      for pid in terms)
+    assert sorted(computed) == sorted((id(q), id(c)) for q, terms in table.items()
+                                      for c in terms)
     assert len(table) == sum(len(r.points) for r in va)
     assert shared == [fitness(g, tr, va) for g in genomes]
 
