@@ -1,9 +1,11 @@
 """Comparing the ball tree with the brute scan on one dataset.
 
 Both answer identically (that is checked first); the only question is
-speed. The ball tree is only its leaves: it bounds each leaf by centroid
-and radius and scans the points of only a few leaves per query, while the
-brute scan touches every point every time.
+speed. The ball tree is only its leaves: it bounds each leaf from below by
+its centroid distance minus its radius, the tree from above by its leaves'
+centroid distances plus their near radii (the distance to each leaf's
+nearest point), and scans the points of only a few leaves per query, while
+the brute scan touches every point every time.
 """
 
 import time

@@ -176,15 +176,15 @@ def pair_terms(q: RoutePoint, c: RoutePoint) -> Terms:
     A heading missing on either side differs by 0: absent data is not
     dissimilarity.
     """
-    gcd = great_circle_km(q.record.lat_deg, q.record.lon_deg,
-                          c.record.lat_deg, c.record.lon_deg)
+    qr, cr = q.record, c.record
+    gcd = great_circle_km(qr.lat_deg, qr.lon_deg, cr.lat_deg, cr.lon_deg)
     d_course = angular_diff_deg(q.course_deg, c.course_deg) / 180.0
-    q_heading, c_heading = q.record.heading_deg, c.record.heading_deg
+    q_heading, c_heading = qr.heading_deg, cr.heading_deg
     if q_heading is None or c_heading is None:
         d_heading = 0.0
     else:
         d_heading = angular_diff_deg(q_heading, c_heading) / 180.0
-    d_speed = min(abs(q.record.speed_knots - c.record.speed_knots) / NORM_SPEED_KNOTS, 1.0)
+    d_speed = min(abs(qr.speed_knots - cr.speed_knots) / NORM_SPEED_KNOTS, 1.0)
     d_dist = min(abs(q.dist_from_departure_km - c.dist_from_departure_km) / NORM_DIST_KM, 1.0)
     return gcd, d_course, d_heading, d_speed, d_dist
 

@@ -11,14 +11,15 @@ part at once at the median of its dimension of maximum spread, until each
 part holds at most ``leaf_size`` points; one array of row edges, ``[0, ...,
 n]``, holds the parts, and the first level's may be groups of rows (the
 ports), so one split builds many trees. The leaves are kept as a padded
-table, a group per tree, with each leaf's centroid and radius; each leaf's
-points lie component-major and in order of id, so the scan runs along them.
-One numpy kernel answers a block of queries against them all: it takes every
-(query, leaf) centroid distance once, from one matrix product. It bounds
-each leaf from below by its centroid distance minus its radius and each
-tree from above by its least centroid distance plus radius, widened by a
-slack that covers their rounding, then scans every leaf whose bound is
-``<=`` its tree's upper bound, so equal-distance candidates are reached.
+table, a group per tree, with each leaf's centroid, radius and near radius
+(its farthest and nearest point's distance); each leaf's points lie
+component-major and in order of id, so the scan runs along them. One numpy
+kernel answers a block of queries against them all: it takes every (query,
+leaf) centroid distance once, from one matrix product. It bounds each leaf
+from below by its centroid distance minus its radius and each tree from
+above by its least centroid distance plus near radius, widened by a slack
+that covers their rounding, then scans every leaf whose bound is ``<=`` its
+tree's upper bound, so equal-distance candidates are reached.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ DEFAULT_LEAF_SIZE = 32
 
 # Query blocks are sized from this many bytes at about 28 per leaf bound and 96
 # per point of 4 scanned leaves a tree: 53 queries on canonical data, 14 at
-# batch-large. Queries scan more (8.1 leaves a port on canonical data, 13.6 on
-# the batch-large slice), so a call on a 60-fix route peaks at 4.0 / 4.1 MiB.
+# batch-large. Queries scan more (6.0 leaves a port on canonical data, 10.4 on
+# the batch-large slice), so a call on a 60-fix route peaks at 3.0 MiB on both.
 BLOCK_BYTES = 3 << 20
 
 _NO_ID = np.iinfo(np.int64).max
@@ -111,7 +112,8 @@ class LeafTable:
     leaf's slots hold its points in ascending id order, then its padding
     (``inf`` points, ``_NO_ID`` ids), so its first least distance lies at
     its least id at that distance. ``centroid`` and ``radius`` bound each
-    leaf's points, and ``leaf_group`` (L,) names each leaf's group. The
+    leaf's points, ``near`` is the distance from a leaf's centroid to its
+    nearest point, and ``leaf_group`` (L,) names each leaf's group. The
     bounds' centroid terms are ``m2ct``, a contiguous ``-2 * centroid.T``,
     ``c_sq``, each centroid's squared norm, and ``c_max``, the largest
     centroid norm floored at NORM_FLOOR. Every group holds at least one leaf
@@ -120,8 +122,9 @@ class LeafTable:
     """
 
     def __init__(self, points: np.ndarray, ids: np.ndarray, centroid: np.ndarray,
-                 radius: np.ndarray, counts: Sequence[int]):
+                 radius: np.ndarray, near: np.ndarray, counts: Sequence[int]):
         self.points, self.ids, self.centroid, self.radius = points, ids, centroid, radius
+        self.near = near
         self.counts = np.asarray(counts, dtype=np.int64)
         self.offsets = np.cumsum(self.counts) - self.counts
         self.leaf_group = np.repeat(np.arange(len(self.counts)), self.counts)
@@ -171,11 +174,12 @@ class LeafTable:
           sqrt(g(7))*(|q| + |c|) < 1.88*sqrt(eps)*(Q + C) on dc, and the
           square root's own rounding adds u*dc;
         - a leaf is pruned when its lower bound dc - r exceeds its group's
-          upper bound, which another leaf's dc + r sets, plus 2*delta, so two
-          centroid distances err against each other, by less than
-          3.76*sqrt(eps)*(Q + C), and 2*delta must cover that. Such a leaf
-          has both radii below about Q + C, so the rounding of the radii, of
-          the scan distances and of the bound arithmetic (dc - r, dc + r and
+          upper bound, which another leaf's dc + n sets, plus 2*delta; that
+          leaf holds a point at distance n (from _norms, as r is) from its
+          centroid. So two centroid distances err against each other, by
+          less than 3.76*sqrt(eps)*(Q + C), and 2*delta must cover that. Such
+          leaves have radii below about Q + C, so the rounding of r and n, of
+          the scan distances and of the bound arithmetic (dc - r, dc + n and
           the add of 2*delta) adds a few u*(Q + C), under 1e-6 of the above.
 
         K = 4 covers it twice over. At the default weights delta is about
@@ -183,8 +187,9 @@ class LeafTable:
         underflow err absolutely instead, by at most 2^-1075 each and by
         under 2^-533 through the square roots in all; flooring C at 2^-500
         covers that. The leaf that sets its group's upper bound always
-        passes, since rounding keeps dc - r <= dc <= dc + r <= (dc + r) +
-        2*delta, so every group scans a leaf. delta and the matrix product's
+        passes, since rounding keeps dc - r <= dc <= dc + n <= (dc + n) +
+        2*delta, so every group scans a leaf; as n <= r, none scans a leaf
+        that a bound of dc + r would skip. delta and the matrix product's
         rounding can depend on the other queries of a call, and with them the
         leaves scanned, never the answers.
         """
@@ -194,8 +199,8 @@ class LeafTable:
         sq += self.c_sq
         sq += q_sq[:, None]
         dc = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-        # 2. each group's upper bound: a leaf is non-empty and inside its ball
-        upper = np.minimum.reduceat(dc + self.radius, self.offsets, axis=1)
+        # 2. each group's upper bound: every leaf holds a point at distance near
+        upper = np.minimum.reduceat(dc + self.near, self.offsets, axis=1)
         upper += slack
         # 3. scan every leaf whose lower bound is within its group's upper bound
         mask = dc - self.radius <= upper.repeat(self.counts, axis=1)
@@ -208,19 +213,19 @@ class LeafTable:
         # least distance, then the least id at it. The flat mask lists the
         # pairs in order and every pair scans a leaf
         slot = d.argmin(axis=1)
-        near = d[np.arange(len(leaf)), slot]
-        near_id = self.ids[leaf, slot]
+        least = d[np.arange(len(leaf)), slot]
+        least_id = self.ids[leaf, slot]
         pair = qi * n_g + self.leaf_group[leaf]
         start = pair.searchsorted(np.arange(n_q * n_g))
-        best = np.minimum.reduceat(near, start)
-        best_id = np.minimum.reduceat(np.where(near == best[pair], near_id, _NO_ID), start)
+        best = np.minimum.reduceat(least, start)
+        best_id = np.minimum.reduceat(np.where(least == best[pair], least_id, _NO_ID), start)
         scanned = np.bincount(pair, minlength=n_q * n_g)
         return tuple(a.reshape(n_q, n_g) for a in (best_id, best, scanned))
 
 
 class BallTree:
     """Exact nearest-neighbor ball tree over a fixed point set, kept as its
-    leaves: ``table`` holds their points, ids, centroid and radius, which is
+    leaves: ``table`` holds their points, ids, centroid and radii, which is
     all the query kernel reads. The build splits level by level, from the
     consecutive row groups of ``sizes`` (by default one of every row): every
     part of more than ``leaf_size`` points is sorted, stably, on its dimension
@@ -262,7 +267,9 @@ class BallTree:
             edges = np.sort(np.concatenate([edges, (start + count // 2)[split]]))
 
         centroid = np.add.reduceat(pts, start) / count[:, None]
-        radius = np.maximum.reduceat(_norms((pts - np.repeat(centroid, count, axis=0)).T), start)
+        dist = _norms((pts - np.repeat(centroid, count, axis=0)).T)
+        radius, near = np.maximum.reduceat(dist, start), np.minimum.reduceat(dist, start)
+        del dist
         # each leaf's rows in order of id, after its centroid has summed them in split order
         order = np.lexsort((id_arr, np.repeat(np.arange(len(count)), count)))
         pts, id_arr = pts[order], id_arr[order]
@@ -270,7 +277,7 @@ class BallTree:
         table_pts = np.full((len(count), 5, real.shape[1]), np.inf)
         table_ids = np.full(real.shape, _NO_ID)
         table_pts.transpose(0, 2, 1)[real], table_ids[real] = pts, id_arr
-        self.table = LeafTable(table_pts, table_ids, centroid, radius,
+        self.table = LeafTable(table_pts, table_ids, centroid, radius, near,
                                np.diff(edges.searchsorted(first)))
 
     @property
@@ -282,7 +289,7 @@ class BallTree:
         t, trees = self.table, [copy.copy(self) for _ in self.table.counts]
         for tree, lo, hi in zip(trees, t.offsets, t.offsets + t.counts):
             tree.table = LeafTable(t.points[lo:hi], t.ids[lo:hi], t.centroid[lo:hi],
-                                   t.radius[lo:hi], [hi - lo])
+                                   t.radius[lo:hi], t.near[lo:hi], [hi - lo])
             tree.n_points = int(np.isfinite(tree.table.points[:, 0]).sum())
         return trees
 

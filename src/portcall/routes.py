@@ -106,16 +106,16 @@ def enrich_route(route: Route) -> Route:
     prev: RoutePoint | None = None
     for pt in route.points:
         rec = pt.record
+        lat, lon = rec.lat_deg, rec.lon_deg  # a record's fields are read once a point
         if prev is None:
             pt.bearing_deg = _fallback_bearing(rec)
             pt.dist_from_departure_km = 0.0
         else:
-            prec = prev.record
-            bearing = initial_bearing_deg(prec.lat_deg, prec.lon_deg, rec.lat_deg, rec.lon_deg)
+            bearing = initial_bearing_deg(prev_lat, prev_lon, lat, lon)
             pt.bearing_deg = bearing if bearing is not None else _fallback_bearing(rec)
             pt.dist_from_departure_km = prev.dist_from_departure_km + great_circle_km(
-                prec.lat_deg, prec.lon_deg, rec.lat_deg, rec.lon_deg)
+                prev_lat, prev_lon, lat, lon)
         if route.arrival_time is not None:
             pt.remaining_time_s = route.arrival_time - rec.timestamp
-        prev = pt
+        prev, prev_lat, prev_lon = pt, lat, lon
     return route

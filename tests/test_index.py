@@ -9,7 +9,7 @@ import pytest
 
 from portcall import classifier
 from portcall.classifier import ModelParams, embed_points, train
-from portcall.index import _NO_ID, BLOCK_BYTES, NORM_FLOOR, BallTree, brute_nearest
+from portcall.index import _NO_ID, BLOCK_BYTES, NORM_FLOOR, SLACK, BallTree, brute_nearest
 from portcall.tuner import split_routes
 
 
@@ -128,6 +128,7 @@ def test_ties_and_duplicates_match_brute_sweep():
                             sizes=[len(p) for p, _ in ports])
             table = tree.table
             assert (table.radius[table.offsets[-1]:] == 0.0).all()
+            assert (table.near[table.offsets[-1]:] == 0.0).all()
             got_ids, got_d, scanned = table.nearest(queries)
             for g, ((p, i), view) in enumerate(zip(ports, tree.groups(), strict=True)):
                 assert ((1 <= scanned[:, g]) & (scanned[:, g] <= table.counts[g])).all()
@@ -143,6 +144,7 @@ def test_ties_and_duplicates_match_brute_sweep():
                 assert (group.ids[:, width:] == _NO_ID).all()
                 assert same_bits(group.centroid, alone.table.centroid)
                 assert same_bits(group.radius, alone.table.radius)
+                assert same_bits(group.near, alone.table.near)
             for q in queries:
                 assert tree.nearest(q) == brute_nearest(all_pts, q, all_ids)
 
@@ -217,12 +219,12 @@ def ordered_norm(d):
 
 
 def test_distances_sum_in_one_written_out_order_sweep():
-    """Every distance the kernel and the brute scan return, and every leaf
-    radius, is ordered_norm of the difference in Python floats, bit for bit,
-    at scales from 1e-155 (whose squares are subnormal) to 1e150, so the two
-    agree on any numpy build. The farthest point of each leaf then lies
-    exactly on its ball, and the sweep tells that order from a left-to-right
-    sum."""
+    """Every distance the kernel and the brute scan return, and every leaf's
+    radius and near radius, is ordered_norm of the difference in Python
+    floats, bit for bit, at scales from 1e-155 (whose squares are subnormal)
+    to 1e150, so the two agree on any numpy build. The farthest point of each
+    leaf then lies exactly on its ball, its nearest point exactly at its near
+    radius, and the sweep tells that order from a left-to-right sum."""
     rng = np.random.default_rng(47)
     other_order = 0
     for scale in (1e-155, 1e-50, 1e-3, 1.0, 1e3, 1e50, 1e150):
@@ -240,11 +242,79 @@ def test_distances_sum_in_one_written_out_order_sweep():
             assert brute_nearest(pts, q, ids) == min(want)[::-1]
         table = tree.table
         leaves = [rows for g in range(2) for rows in table_rows(table, g)]
-        for (_, leaf_pts), c, radius in zip(leaves, table.centroid, table.radius, strict=True):
-            assert radius == max(ordered_norm([float(a) - float(b) for a, b in zip(p, c)])
-                                 for p in leaf_pts)
+        for (_, leaf_pts), c, radius, near in zip(leaves, table.centroid, table.radius,
+                                                  table.near, strict=True):
+            dist = [ordered_norm([float(a) - float(b) for a, b in zip(p, c)]) for p in leaf_pts]
+            assert radius == max(dist) and near == min(dist)
+            assert 0.0 <= near <= radius
         assert tree.containment_slack() == 0.0
     assert other_order > 0
+
+
+def radius_bound_scans(table, queries):
+    """Leaves scanned per (query, group) by the kernel's rule with each
+    group's upper bound taken as its least centroid distance plus radius,
+    not plus near radius: the same centroid distances, slack and lower
+    bounds, from the table's own arrays, for queries that fit one block."""
+    assert len(queries) <= table.block
+    q_sq = np.einsum("...i,...i->...", queries, queries)
+    sq = queries @ table.m2ct
+    sq += table.c_sq
+    sq += q_sq[:, None]
+    dc = np.sqrt(np.maximum(sq, 0.0))
+    slack = 2 * SLACK * (table.c_max + math.sqrt(q_sq.max()))
+    upper = np.minimum.reduceat(dc + table.radius, table.offsets, axis=1) + slack
+    mask = dc - table.radius <= upper.repeat(table.counts, axis=1)
+    return np.add.reduceat(mask.astype(np.int64), table.offsets, axis=1)
+
+
+def test_near_radius_bound_scans_a_subset_sweep():
+    """Bounding each group from above by its least centroid distance plus
+    near radius scans at least one leaf of every (query, group), and never
+    more than the radius bound would, on lattice ties and duplicates and on
+    tight clusters of near-ties at scales 1e-150 to 1e6, while the answers
+    stay the linear scan's."""
+    rng = np.random.default_rng(53)
+    cases = []
+    for _ in range(8):
+        sizes = rng.integers(1, 250, size=3)
+        pts, ids = lattice_points(rng, int(sizes.sum()))
+        cases.append((pts, ids, sizes, rng.integers(-2, 3, size=(16, 5)) / 2.0))
+    for scale in (1e-150, 1e-3, 1.0, 1e6):
+        for offset in (1e-12, 1e-6, 1e-2, 1.0):
+            centres = rng.normal(size=(3, 5))
+            centres /= np.linalg.norm(centres, axis=1)[:, None]
+            pts = (centres[rng.integers(0, 3, size=180)]
+                   + offset * rng.normal(size=(180, 5))) * scale
+            queries = (centres[rng.integers(0, 3, size=16)]
+                       + offset * rng.normal(size=(16, 5))) * scale
+            cases.append((pts, rng.permutation(1000)[:180], [70, 110], queries))
+    fewer = 0
+    for pts, ids, sizes, queries in cases:
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        for leaf_size in (1, 4, 32):
+            table = BallTree(pts, ids=ids, leaf_size=leaf_size, sizes=sizes).table
+            got_ids, got_d, scanned = table.nearest(queries)
+            old = radius_bound_scans(table, queries)
+            assert (1 <= scanned).all() and (scanned <= old).all()
+            fewer += int((scanned < old).sum())
+            for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                for k, q in enumerate(queries):
+                    assert ((int(got_ids[k, g]), float(got_d[k, g]))
+                            == brute_nearest(pts[lo:hi], q, ids[lo:hi]))
+    assert fewer > 0
+
+
+def test_canonical_holdout_scans_fewer_leaves(canonical_routes):
+    """The near-radius bound's gain, pinned: on the canonical model the
+    held-out points scan about 6.03 leaves per (query, port), where the
+    radius bound scanned 8.12."""
+    train_part, val = split_routes(canonical_routes, 0.8, 0)
+    model = train(train_part, ModelParams())
+    scanned = np.concatenate([model.table.nearest(embed_points(r.points, model.params.weights))[2]
+                              for r in val])
+    assert scanned.shape == (1719, 5)
+    assert scanned.mean() < 6.5
 
 
 def test_leaf_table_rejects_block_with_one_non_finite_query():
@@ -431,12 +501,12 @@ def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
         lo, hi = model.table.offsets[g], model.table.offsets[g] + model.table.counts[g]
         group = ix.tree.table
         assert np.shares_memory(group.points, model.table.points)
-        for name in ("points", "ids", "centroid", "radius"):
+        for name in ("points", "ids", "centroid", "radius", "near"):
             assert np.array_equal(getattr(group, name), getattr(model.table, name)[lo:hi])
         pts = list(ix.points.values())
         alone = BallTree(embed_points(pts, model.params.weights),
                          ids=[p.point_id for p in pts], leaf_size=8).table
-        for name in ("centroid", "radius", "m2ct", "c_sq"):
+        for name in ("centroid", "radius", "near", "m2ct", "c_sq"):
             assert np.array_equal(getattr(group, name), getattr(alone, name))
         assert group.c_max == alone.c_max
         for (ids_a, pts_a), (ids_b, pts_b) in zip(table_rows(group), table_rows(alone),
