@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,24 +125,39 @@ class RouteState:
         return self._best_value
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     port: str
     arrival: int
     raw_port: str
     chosen_point_id: int
 
 
+def _coordinates(points: list[RoutePoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The latitudes, longitudes and bearings of route points."""
+    lat, lon, bearing = [], [], []
+    for p in points:
+        lat.append(p.record.lat_deg)
+        lon.append(p.record.lon_deg)
+        bearing.append(p.bearing_deg)
+    return np.array(lat), np.array(lon), np.array(bearing)
+
+
 def embed_points(points: list[RoutePoint], weights: FeatureWeights) -> np.ndarray:
     """The (n, 5) embedding of route points."""
-    return embed_arrays(np.array([p.record.lat_deg for p in points]),
-                        np.array([p.record.lon_deg for p in points]),
-                        np.array([p.bearing_deg for p in points]), weights)
+    return embed_arrays(*_coordinates(points), weights)
 
 
-def train(routes: list[Route], params: ModelParams) -> Model:
-    """Build the model from enriched labeled routes: one ball tree whose
-    groups are the arrival ports, in order, and a view of each as its tree."""
+class TrainingSet(NamedTuple):
+    """What train reads of routes that no parameter changes: the port point
+    maps in port order, which its models share, and the ids and coordinates."""
+
+    points: dict[str, dict[int, RoutePoint]]
+    ids: np.ndarray
+    coordinates: np.ndarray  # read-only (3, n): lat, lon, bearing
+
+
+def prepare(routes: list[Route]) -> TrainingSet:
+    """Check enriched labeled routes and gather what train reads of them."""
     labeled = [r for r in routes if r.arrival_port is not None]
     if not labeled:
         raise ValueError("training requires at least one labeled route")
@@ -149,6 +165,8 @@ def train(routes: list[Route], params: ModelParams) -> Model:
     by_port: dict[str, list[RoutePoint]] = {}
     for route in labeled:
         assert route.arrival_port is not None
+        if not route.points:
+            raise ValueError(f"route {route.route_id} has no points")
         if any(p.remaining_time_s is None for p in route.points):
             raise ValueError(f"route {route.route_id} is not enriched: "
                              "its points lack remaining_time_s")
@@ -162,10 +180,20 @@ def train(routes: list[Route], params: ModelParams) -> Model:
         repeated = next(i for i, n in Counter(ids).items() if n > 1)
         raise ValueError(f"point id {repeated} is repeated; partition every "
                          "training record in one partition_routes call")
-    tree = BallTree(embed_points(pts, params.weights), ids=ids,
-                    leaf_size=DEFAULT_LEAF_SIZE, sizes=[len(by_port[port]) for port in ports])
-    per_port = {port: PortIndex(tree=view, points={p.point_id: p for p in by_port[port]})
-                for port, view in zip(ports, tree.groups())}
+    coordinates = np.array(_coordinates(pts))
+    coordinates.flags.writeable = False  # so no fit can change the set for the next
+    return TrainingSet({port: {p.point_id: p for p in by_port[port]} for port in ports},
+                       np.array(ids), coordinates)
+
+
+def train(routes: list[Route] | TrainingSet, params: ModelParams) -> Model:
+    """Build the model from enriched labeled routes or their prepared set: one
+    ball tree grouped by arrival port, in order, and a view of each group."""
+    ts = routes if isinstance(routes, TrainingSet) else prepare(routes)
+    tree = BallTree(embed_arrays(*ts.coordinates, params.weights), ids=ts.ids,
+                    leaf_size=DEFAULT_LEAF_SIZE, sizes=[len(m) for m in ts.points.values()])
+    per_port = {port: PortIndex(tree=view, points=points)
+                for (port, points), view in zip(ts.points.items(), tree.groups())}
     return Model(params=params, per_port=per_port, table=tree.table)
 
 

@@ -75,9 +75,9 @@ def score_dataset(model: Model, routes: list[Route], workers: int = 1) -> Scores
 
     Routes replay independently (fresh state each), so more than one worker
     runs them on a thread pool, the package's only one; one worker replays
-    inline, since a one-worker pool costs about 0.4-0.5 ms to create, map and
-    shut down, about 5% of a tune-small GA fitness call inside ``evolve``
-    (about 8 ms, medians over 5 runs on a 2-vCPU Xeon).
+    inline: on a one-worker pool the 8 held-out routes of a tune-small GA
+    fitness call took about 1 ms longer (medians 0.97-1.01 ms, 3 processes),
+    and the whole call in ``evolve`` takes about 3.5 ms, on a 2-vCPU Xeon.
     Per-route rows keep input order; the averages are plain arithmetic means.
     """
     if not routes:

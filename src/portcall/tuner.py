@@ -9,7 +9,8 @@ Gaussian mutation with per-bound clamping, elitism. Genomes are scored one at
 a time, in order; the only parallelism is per route inside ``fitness``, which
 replays the holdout routes on ``workers`` threads. All randomness flows from
 one seeded stream consumed sequentially, so runs reproduce exactly for any
-worker count.
+worker count. ``evolve`` prepares its training split once, so each genome
+only embeds and indexes.
 
 The genomes of one ``evolve`` call share one table of pair terms. A genome
 moves the embedding, which can change each port's nearest candidate for a
@@ -34,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .classifier import ModelParams, train
+from .classifier import ModelParams, TrainingSet, prepare, train
 from .embedding import FeatureWeights
 from .evaluation import score_dataset
 from .routes import Route
@@ -107,7 +108,7 @@ class GaConfig:
             raise ValueError("generations and seed must be >= 0")
 
 
-def fitness(genome: Genome, train_routes: list[Route], val_routes: list[Route],
+def fitness(genome: Genome, train_routes: list[Route] | TrainingSet, val_routes: list[Route],
             fitness_lambda: float = GaConfig.fitness_lambda, workers: int = 1,
             terms_table: dict | None = None) -> float:
     """Earliness plus a bounded arrival-accuracy bonus on the holdout split.
@@ -158,6 +159,7 @@ def evolve(routes: list[Route], cfg: GaConfig,
     last population's argmax is the best genome ever seen.
     """
     train_part, val_part = split_routes(routes, cfg.split_fraction, cfg.seed)
+    train_set = prepare(train_part)
     rng = np.random.default_rng(cfg.seed)
     gene_range = GENE_HIGH - GENE_LOW
 
@@ -171,7 +173,7 @@ def evolve(routes: list[Route], cfg: GaConfig,
         keys = [tuple(g) for g in pop]
         for key, genes in zip(keys, pop):
             if key not in cache:
-                cache[key] = fitness(Genome.from_array(genes), train_part, val_part,
+                cache[key] = fitness(Genome.from_array(genes), train_set, val_part,
                                      cfg.fitness_lambda, workers, terms_table=terms_table)
         return [cache[k] for k in keys]
 

@@ -12,6 +12,7 @@ from portcall.classifier import (
     classify_point,
     classify_points,
     embed_points,
+    prepare,
     similarity,
     train,
 )
@@ -19,7 +20,7 @@ from portcall.embedding import FeatureWeights, embed
 from portcall.geo import EARTH_RADIUS_KM, great_circle_km
 from portcall.index import brute_nearest
 from portcall.ingest import AIS_HEADER, AisRecord, parse_ais_csv
-from portcall.routes import RoutePoint, enrich_route, partition_routes
+from portcall.routes import Route, RoutePoint, enrich_route, partition_routes
 from tests.test_geo import oracle_great_circle_km
 
 
@@ -102,6 +103,39 @@ def test_train_rejects_routes_that_were_not_enriched():
     enrich_route(routes[0])
     with pytest.raises(ValueError, match=f"route {routes[1].route_id} is not enriched"):
         train(routes, ModelParams())
+
+
+def test_train_names_a_labeled_route_without_points():
+    """A labeled route with no points fails with its id, whether its port has
+    other points or not, and whether any route has points; an unlabeled one
+    is skipped as before."""
+    def empty(route_id, port):
+        return Route(route_id=route_id, ship_id="S9", departure_port="ALFA",
+                     arrival_port=port, arrival_time=5000, points=[])
+    routes = build_routes(TWO_PORT_LANES)
+    for bad in ([*routes, empty("S9_0", "PORTC")], [empty("S9_0", "PORTA"), *routes],
+                [empty("S9_0", "PORTA")]):
+        with pytest.raises(ValueError, match="route S9_0 has no points"):
+            train(bad, ModelParams())
+    assert train([*routes, empty("S9_0", None)], ModelParams()).n_points == 7
+
+
+def test_prepare_raises_each_train_error():
+    records = [make_record(ship="S1", lat=0.0, lon=0.0, ts=0, arr_time=3600, arr_port="PORTA"),
+               make_record(ship="S2", lat=0.0, lon=5.0, ts=0, arr_time=3600, arr_port="PORTB")]
+    not_enriched = partition_routes(records)
+    enrich_route(not_enriched[0])
+    no_points = Route(route_id="S9_0", ship_id="S9", departure_port="ALFA",
+                      arrival_port="PORTA", arrival_time=5000, points=[])
+    cases = [([], "at least one labeled route"),
+             (not_enriched, f"route {not_enriched[1].route_id} is not enriched"),
+             (build_routes(TWO_PORT_LANES[:1]) + build_routes(TWO_PORT_LANES[1:]),
+              "point id 0 is repeated"),
+             ([no_points], "route S9_0 has no points")]
+    for routes, message in cases:
+        for fit in (prepare, lambda r: train(r, ModelParams())):
+            with pytest.raises(ValueError, match=message):
+                fit(routes)
 
 
 def test_candidates_one_per_port_and_brute_agreement():

@@ -8,7 +8,7 @@ import pytest
 
 import portcall.classifier
 import portcall.tuner
-from portcall.classifier import ModelParams, train
+from portcall.classifier import ModelParams, TrainingSet, prepare, train
 from portcall.embedding import FeatureWeights
 from portcall.evaluation import SyntheticConfig, replay_route, synth_records
 from portcall.geo import normalize_lon
@@ -365,3 +365,55 @@ def test_evolve_with_terms_table_equals_without(canonical_routes, monkeypatch, w
     # evolve reaches fitness through the module and passes one table per run
     assert dropped and dropped[0] is not None
     assert all(t is dropped[0] for t in dropped)
+
+
+def test_train_on_prepared_set_equals_train_on_routes():
+    """For every genome, train on a prepared set builds the model train on
+    the routes builds, bit for bit, and the set's arrays stay as they were."""
+    tr, _ = split_routes(antimeridian_routes(26), 0.7, seed=1)
+    train_set = prepare(tr)
+    before = train_set.coordinates.tobytes()
+    for g in sweep_genomes():
+        prepared, direct = train(train_set, g.to_params()), train(tr, g.to_params())
+        assert prepared.ports == direct.ports == list(train_set.points)
+        for name in ("points", "ids", "centroid", "radius", "near"):
+            a, b = getattr(prepared.table, name), getattr(direct.table, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert [ix.tree.n_points for ix in prepared.per_port.values()] == \
+               [ix.tree.n_points for ix in direct.per_port.values()]
+        # the views share the set's point maps
+        assert all(ix.points is m for ix, m in zip(prepared.per_port.values(),
+                                                   train_set.points.values()))
+    assert train_set.coordinates.tobytes() == before
+    # an in-place embedding would corrupt every later fit
+    for a in train_set.coordinates:
+        with pytest.raises(ValueError, match="read-only"):
+            np.radians(a, out=a)
+
+
+def from_routes(monkeypatch, train_routes):
+    """Make evolve's fitness calls train on train_routes, so each call
+    prepares its own set; returns the list of sets evolve passed."""
+    plain = portcall.tuner.fitness
+    passed = []
+
+    def fitness_from_routes(genome, train_set, *args, **kwargs):
+        passed.append(train_set)
+        return plain(genome, train_routes, *args, **kwargs)
+    monkeypatch.setattr(portcall.tuner, "fitness", fitness_from_routes)
+    return passed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evolve_with_prepared_set_equals_from_routes(canonical_routes, monkeypatch, workers):
+    routes = canonical_routes[:24]
+    best, hist = evolve(routes, SMALL_GA, workers=workers)
+    train_part, _ = split_routes(routes, GaConfig.split_fraction, SMALL_GA.seed)
+    passed = from_routes(monkeypatch, train_part)
+    best_routes, hist_routes = evolve(routes, SMALL_GA, workers=workers)
+    assert best == best_routes
+    assert [(h.generation, h.best_fitness, h.mean_fitness) for h in hist] == \
+           [(h.generation, h.best_fitness, h.mean_fitness) for h in hist_routes]
+    # evolve reaches fitness through the module and prepares one set per run
+    assert passed and isinstance(passed[0], TrainingSet)
+    assert all(t is passed[0] for t in passed)
