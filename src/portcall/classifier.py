@@ -2,9 +2,11 @@
 
 Training builds one ball tree over the embeddings of every route point, its
 first level split by arrival port, so its leaf table holds one group of
-leaves per port in port order. Classifying a block of consecutive points of
-one route asks the table for every port's exact nearest point to each point
-in one kernel call, re-ranks those candidates with a similarity function
+leaves per port in port order. A model keeps that tree and each port's
+{point id: point} map, nothing more. Classifying a block of consecutive
+points of one route asks the table for every port's exact nearest point to
+each point in one kernel call, looks each candidate up in its port's map,
+re-ranks those candidates with a similarity function
 (great-circle distance scaled by penalty factors for course, heading, speed
 and distance-from-departure differences; lower is more similar), and takes
 the winner's port and precomputed remaining time. To damp flip-flopping
@@ -64,33 +66,46 @@ class ModelParams:
 
 @dataclass
 class PortIndex:
-    tree: BallTree  # a view of the port's group of Model.table, for readers outside the hot path
+    """A port's group of a model's tree, as a tree of its own, and its point map."""
+
+    tree: BallTree
     points: dict[int, RoutePoint]
 
 
 @dataclass
 class Model:
+    """A trained model: its parameters, the one ball tree ``train`` builds,
+    whose first level splits the ports in port order, and each port's
+    ``{point id: point}`` map, in the same order. The maps are the training
+    set's own, shared and not copied."""
+
     params: ModelParams
-    per_port: dict[str, PortIndex]
-    table: LeafTable  # every port's leaves, one group per port in port order
+    tree: BallTree = field(repr=False)
+    points: dict[str, dict[int, RoutePoint]] = field(repr=False)
     # {query point: {candidate point: pair_terms}}, shared by one GA run's models
     # and exact however shared; it keeps alive every point it has seen, which
     # must not change while it lives. train leaves it None
     terms_table: dict[RoutePoint, dict[RoutePoint, Terms]] | None = field(
         default=None, repr=False)
-    port_points: list[tuple[str, dict[int, RoutePoint]]] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        # what classify_points reads of per_port, in port order
-        self.port_points = [(port, ix.points) for port, ix in self.per_port.items()]
+    @property
+    def table(self) -> LeafTable:
+        """Every port's leaves, one group per port in port order."""
+        return self.tree.table
 
     @property
     def ports(self) -> list[str]:
-        return list(self.per_port)
+        return list(self.points)
 
     @property
     def n_points(self) -> int:
-        return sum(ix.tree.n_points for ix in self.per_port.values())
+        return self.tree.n_points
+
+    @property
+    def per_port(self) -> dict[str, PortIndex]:
+        """Each port's view, built on every read, for readers outside the query path."""
+        return {port: PortIndex(tree=view, points=points)
+                for (port, points), view in zip(self.points.items(), self.tree.groups())}
 
 
 @dataclass
@@ -188,13 +203,14 @@ def prepare(routes: list[Route]) -> TrainingSet:
 
 def train(routes: list[Route] | TrainingSet, params: ModelParams) -> Model:
     """Build the model from enriched labeled routes or their prepared set: one
-    ball tree grouped by arrival port, in order, and a view of each group."""
+    ball tree grouped by arrival port, in order, and the set's point maps."""
     ts = routes if isinstance(routes, TrainingSet) else prepare(routes)
-    tree = BallTree(embed_arrays(*ts.coordinates, params.weights), ids=ts.ids,
-                    leaf_size=DEFAULT_LEAF_SIZE, sizes=[len(m) for m in ts.points.values()])
-    per_port = {port: PortIndex(tree=view, points=points)
-                for (port, points), view in zip(ts.points.items(), tree.groups())}
-    return Model(params=params, per_port=per_port, table=tree.table)
+    points, ids = ts.points, ts.ids
+    embedded = embed_arrays(*ts.coordinates, params.weights)
+    del ts  # a set prepared here frees its coordinates before the build
+    tree = BallTree(embedded, ids=ids, leaf_size=DEFAULT_LEAF_SIZE,
+                    sizes=[len(m) for m in points.values()])
+    return Model(params=params, tree=tree, points=points)
 
 
 def pair_terms(q: RoutePoint, c: RoutePoint) -> Terms:
@@ -250,7 +266,7 @@ def classify_points(model: Model, state: RouteState,
     # by one thread, so each query point has one writer, and one dict store
     # is atomic; a lost store would only cost a recomputation.
     known = {} if model.terms_table is None else model.terms_table
-    port_points = model.port_points
+    port_points = model.points.items()
     out = []
     for q, row in zip(points, ids.tolist()):
         terms = known.setdefault(q, {})

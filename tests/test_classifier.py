@@ -68,6 +68,7 @@ def test_train_one_tree_per_port():
     assert model.per_port["PORTA"].tree.n_points == 3
     assert model.per_port["PORTB"].tree.n_points == 4
     assert model.n_points == 7
+    assert repr(model) == f"Model(params={model.params!r})"  # not every training point
 
 
 def test_train_same_port_merges():

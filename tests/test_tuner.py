@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import portcall.classifier
 import portcall.tuner
 from portcall.classifier import ModelParams, TrainingSet, prepare, train
 from portcall.embedding import FeatureWeights
-from portcall.evaluation import SyntheticConfig, replay_route, synth_records
+from portcall.evaluation import SyntheticConfig, replay_route, score_dataset, synth_records
 from portcall.geo import normalize_lon
+from portcall.index import BallTree
 from portcall.ingest import AisRecord
 from portcall.params import format_params, parse_params
 from portcall.routes import enrich_route, partition_routes
@@ -389,6 +391,56 @@ def test_train_on_prepared_set_equals_train_on_routes():
     for a in train_set.coordinates:
         with pytest.raises(ValueError, match="read-only"):
             np.radians(a, out=a)
+
+
+def test_no_query_path_builds_per_port_views(monkeypatch):
+    """train, replay_route, score_dataset and evolve read the model's one tree
+    and its port maps, never a per-port view; Model.per_port builds the same
+    views on every read, over the set's own maps."""
+    routes = antimeridian_routes(31)
+    tr, val = split_routes(routes, 0.7, seed=1)
+    train_set = prepare(tr)
+
+    def no_views(self):
+        raise AssertionError("BallTree.groups() called")
+
+    with monkeypatch.context() as m:
+        m.setattr(BallTree, "groups", no_views)
+        direct, prepared = train(tr, ModelParams()), train(train_set, ModelParams())
+        assert replay_route(direct, val[0]) == replay_route(prepared, val[0])
+        score_dataset(prepared, val, workers=2)
+        evolve(routes, GaConfig(population=3, generations=1, seed=0))
+    first, second = prepared.per_port, prepared.per_port
+    assert list(first) == list(second) == prepared.ports == list(train_set.points)
+    assert ([ix.tree.n_points for ix in first.values()]
+            == [ix.tree.n_points for ix in second.values()]
+            == [len(points) for points in train_set.points.values()])
+    assert all(ix.points is points for views in (first, second)
+               for ix, points in zip(views.values(), train_set.points.values()))
+
+
+def test_train_frees_the_coordinates_it_prepares_before_the_build(monkeypatch):
+    """A set that train prepares itself no longer holds its coordinate array
+    while the tree builds; a set the caller passes and holds stays alive."""
+    routes = antimeridian_routes(32)
+    plain_prepare, plain_init = portcall.classifier.prepare, BallTree.__init__
+    refs, alive = [], []
+
+    def watched_prepare(rs):
+        ts = plain_prepare(rs)
+        refs.append(weakref.ref(ts.coordinates))
+        return ts
+
+    def watched_init(self, *args, **kwargs):
+        alive.append(refs[-1]() is not None)
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(portcall.classifier, "prepare", watched_prepare)
+    monkeypatch.setattr(BallTree, "__init__", watched_init)
+    train(routes, ModelParams())
+    train_set = portcall.classifier.prepare(routes)
+    train(train_set, ModelParams())
+    assert alive == [False, True]
 
 
 def from_routes(monkeypatch, train_routes):
