@@ -72,21 +72,18 @@ class PortIndex:
     points: dict[int, RoutePoint]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """A trained model: its parameters, the one ball tree ``train`` builds,
     whose first level splits the ports in port order, and each port's
-    ``{point id: point}`` map, in the same order. The maps are the training
-    set's own, shared and not copied."""
+    ``{point id: point}`` map, in the same order. The maps, and the pair-terms
+    table of a model trained from a prepared set, are the set's own, shared
+    and not copied; a model trained from routes holds no table."""
 
     params: ModelParams
     tree: BallTree = field(repr=False)
     points: dict[str, dict[int, RoutePoint]] = field(repr=False)
-    # {query point: {candidate point: pair_terms}}, shared by one GA run's models
-    # and exact however shared; it keeps alive every point it has seen, which
-    # must not change while it lives. train leaves it None
-    terms_table: dict[RoutePoint, dict[RoutePoint, Terms]] | None = field(
-        default=None, repr=False)
+    terms_table: dict[RoutePoint, dict[RoutePoint, Terms]] | None = field(repr=False)
 
     @property
     def table(self) -> LeafTable:
@@ -164,11 +161,15 @@ def embed_points(points: list[RoutePoint], weights: FeatureWeights) -> np.ndarra
 
 class TrainingSet(NamedTuple):
     """What train reads of routes that no parameter changes: the port point
-    maps in port order, which its models share, and the ids and coordinates."""
+    maps in port order and the ids and coordinates; and the pair-terms table
+    that the set's models share, which lives as long as the set or a model."""
 
     points: dict[str, dict[int, RoutePoint]]
     ids: np.ndarray
     coordinates: np.ndarray  # read-only (3, n): lat, lon, bearing
+    # {query point: {candidate point: pair_terms}}, empty until a model fills it;
+    # keyed by the points (by identity), which it keeps alive and must not change
+    terms_table: dict[RoutePoint, dict[RoutePoint, Terms]]
 
 
 def prepare(routes: list[Route]) -> TrainingSet:
@@ -198,19 +199,21 @@ def prepare(routes: list[Route]) -> TrainingSet:
     coordinates = np.array(_coordinates(pts))
     coordinates.flags.writeable = False  # so no fit can change the set for the next
     return TrainingSet({port: {p.point_id: p for p in by_port[port]} for port in ports},
-                       np.array(ids), coordinates)
+                       np.array(ids), coordinates, {})
 
 
 def train(routes: list[Route] | TrainingSet, params: ModelParams) -> Model:
     """Build the model from enriched labeled routes or their prepared set: one
-    ball tree grouped by arrival port, in order, and the set's point maps."""
+    ball tree grouped by arrival port, in order, the set's point maps, and
+    the set's terms table if the caller prepared it, else none."""
     ts = routes if isinstance(routes, TrainingSet) else prepare(routes)
     points, ids = ts.points, ts.ids
+    table = ts.terms_table if ts is routes else None
     embedded = embed_arrays(*ts.coordinates, params.weights)
     del ts  # a set prepared here frees its coordinates before the build
     tree = BallTree(embedded, ids=ids, leaf_size=DEFAULT_LEAF_SIZE,
                     sizes=[len(m) for m in points.values()])
-    return Model(params=params, tree=tree, points=points)
+    return Model(params=params, tree=tree, points=points, terms_table=table)
 
 
 def pair_terms(q: RoutePoint, c: RoutePoint) -> Terms:
@@ -257,8 +260,9 @@ def classify_points(model: Model, state: RouteState,
 
     The arrival estimate always follows the similarity winner, even when
     smoothing overrides the emitted port. Each (point, candidate) pair's
-    terms come from ``model.terms_table`` when it holds them; a model
-    without one keeps them in a table of this call's own.
+    terms come from ``model.terms_table``, its prepared set's table, which
+    keeps them for later calls; a model trained from routes has none and
+    keeps them in a table of this call's own.
     """
     params = model.params
     ids = model.table.nearest(embed_points(points, params.weights))[0]

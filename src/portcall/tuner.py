@@ -12,20 +12,19 @@ one seeded stream consumed sequentially, so runs reproduce exactly for any
 worker count. ``evolve`` prepares its training split once, so each genome
 only embeds and indexes.
 
-The genomes of one ``evolve`` call share one table of pair terms. A genome
-moves the embedding, which can change each port's nearest candidate for a
-held-out fix, and it changes the penalties; but ``pair_terms`` of one
-(held-out fix, candidate) pair, the great-circle km and four differences,
-depends on the two points alone. So ``evolve`` keeps those terms, keyed by
-the two points themselves (points compare by identity), and each later genome
-that meets the pair weighs them with its own penalties: the same floats
-multiplied in the same order, so every similarity and every fitness keeps its
-bits, however the table is shared. The table keeps alive every point it has
-seen, which must not change while it lives; it holds at most (held-out fixes)
-x (distinct candidates per fix) pairs and lives only as long as the ``evolve``
-call. The benchmark's tune-small run (population 16, 3 generations) looks up
-50,388 pairs, 5,284 of them distinct (1.1 MB); the CLI-default ``tune`` of the
-canonical data keeps 116,707 pairs, which raise its peak RSS from 60 to 87 MB.
+The genomes of one ``evolve`` call share the pair-terms table of the one
+``TrainingSet`` it prepares. A genome moves the embedding, which can change
+each port's nearest candidate for a held-out fix, and it changes the
+penalties; but ``pair_terms`` of one (held-out fix, candidate) pair, the
+great-circle km and four differences, depends on the two points alone. So
+each later genome that meets a pair weighs the kept terms with its own
+penalties: the same floats multiplied in the same order, so every
+similarity and every fitness keeps its bits. The table holds at most
+(held-out fixes) x (distinct candidates per fix) pairs and is dropped with
+the set when ``evolve`` returns. The benchmark's tune-small run (population
+16, 3 generations) looks up 50,388 pairs, 5,284 of them distinct (1.1 MB);
+the CLI-default ``tune`` of the canonical data keeps 116,707 pairs, which
+raise its peak RSS from 60 to 87 MB.
 """
 
 from __future__ import annotations
@@ -109,20 +108,16 @@ class GaConfig:
 
 
 def fitness(genome: Genome, train_routes: list[Route] | TrainingSet, val_routes: list[Route],
-            fitness_lambda: float = GaConfig.fitness_lambda, workers: int = 1,
-            terms_table: dict | None = None) -> float:
+            fitness_lambda: float = GaConfig.fitness_lambda, workers: int = 1) -> float:
     """Earliness plus a bounded arrival-accuracy bonus on the holdout split.
 
     Trains on ``genome.to_params()`` and replays the holdout routes on
-    ``workers`` threads; the value is the same for any worker count. A
-    ``terms_table`` lends the replay the pair terms of earlier calls and
-    takes in the new ones; the value is the same with or without it, since
-    it is keyed by the two points however it is shared.
+    ``workers`` threads; the value is the same for any worker count, and
+    the same whether a prepared set's terms table already holds the pairs.
     """
     if not train_routes or not val_routes:
         raise ValueError("both splits must be non-empty")
     model = train(train_routes, genome.to_params())
-    model.terms_table = terms_table
     scores = score_dataset(model, val_routes, workers=workers)
     arrival_term = max(0.0, 1.0 - scores.mae_minutes / MAE_CEILING_MINUTES)
     return scores.avg_earliness + fitness_lambda * arrival_term
@@ -167,14 +162,13 @@ def evolve(routes: list[Route], cfg: GaConfig,
     population.append(Genome.default().as_array())
 
     cache: dict[tuple[float, ...], float] = {}
-    terms_table: dict = {}  # see the module docstring
 
     def evaluate(pop: list[np.ndarray]) -> list[float]:
         keys = [tuple(g) for g in pop]
         for key, genes in zip(keys, pop):
             if key not in cache:
                 cache[key] = fitness(Genome.from_array(genes), train_set, val_part,
-                                     cfg.fitness_lambda, workers, terms_table=terms_table)
+                                     cfg.fitness_lambda, workers)
         return [cache[k] for k in keys]
 
     def tournament(fits: list[float]) -> int:

@@ -1,5 +1,6 @@
 """Genetic algorithm: fitness formula, splits, evolution invariants."""
 
+import dataclasses
 import sys
 import threading
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 import portcall.classifier
 import portcall.tuner
-from portcall.classifier import ModelParams, TrainingSet, prepare, train
+from portcall.classifier import Model, ModelParams, TrainingSet, prepare, train
 from portcall.embedding import FeatureWeights
 from portcall.evaluation import SyntheticConfig, replay_route, score_dataset, synth_records
 from portcall.geo import normalize_lon
@@ -252,22 +253,23 @@ def sweep_genomes():
 
 
 def test_shared_terms_table_is_exact_across_genomes():
-    """One table shared by every fitness call gives the fitness, and every
-    prediction, that a call without one gives."""
+    """The prepared set's table, shared by every fitness call on the set,
+    gives the fitness, and every prediction, that a call without one gives."""
     routes = antimeridian_routes(26)
     tr, va = split_routes(routes, 0.7, seed=1)
     held_out = sum(len(r.points) for r in va)
     assert any(p.record.heading_deg is None for r in va for p in r.points)
     assert any(p.record.lon_deg > 175.0 for r in va for p in r.points)
     assert any(p.record.lon_deg < -175.0 for r in va for p in r.points)
-    table = {}
+    train_set = prepare(tr)
+    table = train_set.terms_table
     genomes = sweep_genomes()
     assert len(genomes) >= 12
     for g in genomes:
-        assert fitness(g, tr, va, terms_table=table) == fitness(g, tr, va)
-        alone, shared = train(tr, g.to_params()), train(tr, g.to_params())
+        assert fitness(g, train_set, va) == fitness(g, tr, va)
+        alone, shared = train(tr, g.to_params()), train(train_set, g.to_params())
         assert alone.terms_table is None
-        shared.terms_table = table
+        assert shared.terms_table is table
         assert [replay_route(shared, r) for r in va] == [replay_route(alone, r) for r in va]
     # one entry per held-out fix, keyed by the fix itself, reused by later genomes
     assert len(table) == held_out
@@ -278,22 +280,22 @@ def test_shared_terms_table_is_exact_across_genomes():
 
 def test_terms_table_keeps_repeated_held_out_ids_apart():
     """Held-out routes from two partition_routes calls repeat point ids; the
-    table still keeps one entry per fix, and the fitness stays exact."""
+    set's table still keeps one entry per fix, and the fitness stays exact."""
     first, second = antimeridian_routes(3, n_routes=6), antimeridian_routes(4, n_routes=6)
     tr = antimeridian_routes(5, n_routes=3)
     va = first + second
     ids = [p.point_id for r in va for p in r.points]
     assert len(set(ids)) < len(ids)
-    table = {}
+    train_set = prepare(tr)
     for g in sweep_genomes()[:4]:
-        assert fitness(g, tr, va, terms_table=table) == fitness(g, tr, va)
-    assert len(table) == len(ids)
+        assert fitness(g, train_set, va) == fitness(g, tr, va)
+    assert len(train_set.terms_table) == len(ids)
 
 
 def test_terms_table_shared_across_training_splits_is_exact():
     """Two training splits from separate partition_routes calls repeat point
-    ids; one table shared by models of both still gives, for every genome,
-    the predictions a model without a table gives."""
+    ids; each prepared split keeps its own table, and models of either give,
+    for every genome, the predictions a model without a table gives."""
     routes = partition_routes(synth_records(SyntheticConfig(n_ports=3, routes_per_port=12,
                                                             seed=5)))
     train_a, train_b, va = [partition_routes([p.record for r in routes[k::3] for p in r.points])
@@ -302,20 +304,22 @@ def test_terms_table_shared_across_training_splits_is_exact():
         enrich_route(r)
     assert {p.point_id for r in train_a for p in r.points} & \
            {p.point_id for r in train_b for p in r.points}
+    sets = [prepare(train_a), prepare(train_b)]
+    assert sets[0].terms_table is not sets[1].terms_table
     rng = np.random.default_rng(27)
-    table = {}
     for _ in range(6):
         params = Genome.from_array(rng.uniform(GENE_LOW, GENE_HIGH)).to_params()
-        for tr in (train_a, train_b):
-            alone, shared = train(tr, params), train(tr, params)
-            shared.terms_table = table
+        for tr, train_set in zip((train_a, train_b), sets):
+            alone, shared = train(tr, params), train(train_set, params)
+            assert shared.terms_table is train_set.terms_table
             assert [replay_route(shared, r) for r in va] == [replay_route(alone, r) for r in va]
-    assert len(table) == sum(len(r.points) for r in va)
+    for train_set in sets:
+        assert len(train_set.terms_table) == sum(len(r.points) for r in va)
 
 
 def test_terms_table_shared_by_more_threads_than_cores(monkeypatch):
-    """Eight replay threads, switching every microsecond, fill one table: every
-    pair computed is kept once, and the fitness stays exact."""
+    """Eight replay threads, switching every microsecond, fill the set's table:
+    every pair computed is kept once, and the fitness stays exact."""
     routes = antimeridian_routes(8, n_routes=24)
     tr, va = split_routes(routes, 0.5, seed=2)
     plain = portcall.classifier.pair_terms
@@ -327,12 +331,13 @@ def test_terms_table_shared_by_more_threads_than_cores(monkeypatch):
             computed.append((id(q), id(c)))
         return plain(q, c)
     monkeypatch.setattr(portcall.classifier, "pair_terms", counted)
-    table = {}
+    train_set = prepare(tr)
+    table = train_set.terms_table
     genomes = sweep_genomes()[:4]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        shared = [fitness(g, tr, va, workers=8, terms_table=table) for g in genomes]
+        shared = [fitness(g, train_set, va, workers=8) for g in genomes]
     finally:
         sys.setswitchinterval(interval)
     # a lost store would leave a computed pair out, or compute it twice
@@ -342,31 +347,50 @@ def test_terms_table_shared_by_more_threads_than_cores(monkeypatch):
     assert shared == [fitness(g, tr, va) for g in genomes]
 
 
-def without_terms_table(monkeypatch):
-    """Make evolve's fitness calls drop the table it passes; returns the list
-    of tables dropped."""
-    plain = portcall.tuner.fitness
-    dropped = []
+def test_models_of_a_prepared_set_share_its_terms_table():
+    """Models trained from one prepared set hold that set's table; a model
+    trained from routes holds none; and no field of a model can be assigned."""
+    tr, _ = split_routes(antimeridian_routes(33), 0.7, seed=1)
+    train_set = prepare(tr)
+    assert train_set.terms_table == {}
+    first = train(train_set, ModelParams())
+    second = train(train_set, Genome.from_array(GENE_HIGH).to_params())
+    assert first.terms_table is train_set.terms_table
+    assert second.terms_table is train_set.terms_table
+    assert train(tr, ModelParams()).terms_table is None
+    for f in dataclasses.fields(Model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, f.name, getattr(second, f.name))
+    assert first.params == ModelParams()
 
-    def fitness_alone(*args, terms_table=None, **kwargs):
-        dropped.append(terms_table)
-        return plain(*args, **kwargs)
+
+def without_terms_table(monkeypatch):
+    """Make evolve's fitness calls train on its prepared set with a fresh
+    empty terms table each; returns the list of sets evolve passed."""
+    plain = portcall.tuner.fitness
+    passed = []
+
+    def fitness_alone(genome, train_set, *args, **kwargs):
+        passed.append(train_set)
+        return plain(genome, train_set._replace(terms_table={}), *args, **kwargs)
     monkeypatch.setattr(portcall.tuner, "fitness", fitness_alone)
-    return dropped
+    return passed
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evolve_with_terms_table_equals_without(canonical_routes, monkeypatch, workers):
     routes = canonical_routes[:24]
     best, hist = evolve(routes, SMALL_GA, workers=workers)
-    dropped = without_terms_table(monkeypatch)
+    passed = without_terms_table(monkeypatch)
     best_alone, hist_alone = evolve(routes, SMALL_GA, workers=workers)
     assert best == best_alone
     assert [(h.generation, h.best_fitness, h.mean_fitness) for h in hist] == \
            [(h.generation, h.best_fitness, h.mean_fitness) for h in hist_alone]
-    # evolve reaches fitness through the module and passes one table per run
-    assert dropped and dropped[0] is not None
-    assert all(t is dropped[0] for t in dropped)
+    # evolve reaches fitness through the module and passes one prepared set, and
+    # so one table, per run; the wrapper kept every call from filling it
+    assert passed and isinstance(passed[0], TrainingSet)
+    assert all(t is passed[0] for t in passed)
+    assert passed[0].terms_table == {}
 
 
 def test_train_on_prepared_set_equals_train_on_routes():
