@@ -2,8 +2,8 @@
 
 Training builds one ball tree over the embeddings of every route point, its
 first level split by arrival port, so its leaf table holds one group of
-leaves per port in port order. A model keeps that tree and each port's
-{point id: point} map, nothing more. Classifying a block of consecutive
+leaves per port in port order. A model keeps that table, not the tree, and
+each port's {point id: point} map. Classifying a block of consecutive
 points of one route asks the table for every port's exact nearest point to
 each point in one kernel call, looks each candidate up in its port's map,
 re-ranks those candidates with a similarity function
@@ -66,7 +66,7 @@ class ModelParams:
 
 @dataclass
 class PortIndex:
-    """A port's group of a model's tree, as a tree of its own, and its point map."""
+    """A port's own ball tree, built from its point map, and that map."""
 
     tree: BallTree
     points: dict[int, RoutePoint]
@@ -74,21 +74,17 @@ class PortIndex:
 
 @dataclass(frozen=True)
 class Model:
-    """A trained model: its parameters, the one ball tree ``train`` builds,
-    whose first level splits the ports in port order, and each port's
-    ``{point id: point}`` map, in the same order. The maps, and the pair-terms
-    table of a model trained from a prepared set, are the set's own, shared
-    and not copied; a model trained from routes holds no table."""
+    """A trained model: what classify_points reads. Its parameters, the leaf
+    table of the one ball tree ``train`` builds, one group per port in port
+    order, and each port's ``{point id: point}`` map, in the same order. The
+    maps, and the pair-terms table of a model trained from a prepared set,
+    are the set's own, shared and not copied; a model trained from routes
+    holds no table."""
 
     params: ModelParams
-    tree: BallTree = field(repr=False)
+    table: LeafTable = field(repr=False)
     points: dict[str, dict[int, RoutePoint]] = field(repr=False)
     terms_table: dict[RoutePoint, dict[RoutePoint, Terms]] | None = field(repr=False)
-
-    @property
-    def table(self) -> LeafTable:
-        """Every port's leaves, one group per port in port order."""
-        return self.tree.table
 
     @property
     def ports(self) -> list[str]:
@@ -96,13 +92,16 @@ class Model:
 
     @property
     def n_points(self) -> int:
-        return self.tree.n_points
+        return sum(map(len, self.points.values()))
 
     @property
     def per_port(self) -> dict[str, PortIndex]:
-        """Each port's view, built on every read, for readers outside the query path."""
-        return {port: PortIndex(tree=view, points=points)
-                for (port, points), view in zip(self.points.items(), self.tree.groups())}
+        """Each port's tree, built from its map on every read, for readers
+        outside the query path; its leaves are the port's group of the table."""
+        w = self.params.weights
+        return {port: PortIndex(BallTree(embed_points(list(m.values()), w), ids=list(m),
+                                         leaf_size=DEFAULT_LEAF_SIZE), m)
+                for port, m in self.points.items()}
 
 
 @dataclass
@@ -203,17 +202,17 @@ def prepare(routes: list[Route]) -> TrainingSet:
 
 
 def train(routes: list[Route] | TrainingSet, params: ModelParams) -> Model:
-    """Build the model from enriched labeled routes or their prepared set: one
-    ball tree grouped by arrival port, in order, the set's point maps, and
-    the set's terms table if the caller prepared it, else none."""
+    """Build the model from enriched labeled routes or their prepared set: the
+    leaf table of one ball tree grouped by arrival port, in order, the set's
+    point maps, and the set's terms table if the caller prepared it, else none."""
     ts = routes if isinstance(routes, TrainingSet) else prepare(routes)
     points, ids = ts.points, ts.ids
-    table = ts.terms_table if ts is routes else None
+    terms_table = ts.terms_table if ts is routes else None
     embedded = embed_arrays(*ts.coordinates, params.weights)
     del ts  # a set prepared here frees its coordinates before the build
-    tree = BallTree(embedded, ids=ids, leaf_size=DEFAULT_LEAF_SIZE,
-                    sizes=[len(m) for m in points.values()])
-    return Model(params=params, tree=tree, points=points, terms_table=table)
+    table = BallTree(embedded, ids=ids, leaf_size=DEFAULT_LEAF_SIZE,
+                     sizes=[len(m) for m in points.values()]).table
+    return Model(params=params, table=table, points=points, terms_table=terms_table)
 
 
 def pair_terms(q: RoutePoint, c: RoutePoint) -> Terms:

@@ -112,7 +112,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     with _as_cli_error():
         cfg = SyntheticConfig(n_ports=args.ports, routes_per_port=args.routes_per_port,
                               seed=args.seed)
-    with _write_file(args.out) as fh:
+    with _as_cli_error(), _write_file(args.out) as fh:  # placing the ports may fail
         text = gen_synthetic(cfg)
         fh.write(text)
     n_points = text.count("\n") - 1

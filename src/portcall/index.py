@@ -24,7 +24,6 @@ tree's upper bound, so equal-distance candidates are reached.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Sequence
 
@@ -230,8 +229,8 @@ class BallTree:
     consecutive row groups of ``sizes`` (by default one of every row): every
     part of more than ``leaf_size`` points is sorted, stably, on its dimension
     of maximum spread (the first on ties) and split at its median row. No
-    part spans two groups, so each group holds, bit for bit, the leaves of a
-    tree on its rows alone, which ``groups()`` returns. Every point lies
+    part spans two groups, so each group holds, bit for bit, the leaves a
+    tree built on its rows alone holds, only padded wider. Every point lies
     inside its leaf's ball, and each leaf's points are laid out in order of
     id. Immutable; concurrent queries are safe.
     """
@@ -283,15 +282,6 @@ class BallTree:
     @property
     def leaf_count(self) -> int:
         return len(self.table.radius)
-
-    def groups(self) -> list[BallTree]:
-        """One tree per group, in order, each reading a view of its group."""
-        t, trees = self.table, [copy.copy(self) for _ in self.table.counts]
-        for tree, lo, hi in zip(trees, t.offsets, t.offsets + t.counts):
-            tree.table = LeafTable(t.points[lo:hi], t.ids[lo:hi], t.centroid[lo:hi],
-                                   t.radius[lo:hi], t.near[lo:hi], [hi - lo])
-            tree.n_points = int(np.isfinite(tree.table.points[:, 0]).sum())
-        return trees
 
     def nearest(self, q: np.ndarray) -> tuple[int, float]:
         """Exact nearest point to q over every group: (point_id, distance)."""

@@ -57,7 +57,8 @@ def parse_params(text: str) -> ModelParams:
     param_kw: dict[str, float | bool] = {}
     params = ModelParams()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # one leading byte-order mark goes, as parse_ais_csv drops it
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from portcall import cli
+from portcall import cli, evaluation
 from portcall.cli import build_parser, main
 from portcall.evaluation import SyntheticConfig, gen_synthetic
 from portcall.ingest import AIS_HEADER, format_timestamp, parse_ais_csv, records_to_csv
@@ -54,6 +54,15 @@ def test_gen_unwritable_path(tmp_path, capsys):
     target = tmp_path / "missing_dir" / "x.csv"
     assert main(["gen", "--out", str(target)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_ports_that_cannot_be_placed_exit_1(tmp_path, capsys, monkeypatch):
+    """The placement error prints as the one error line, with no traceback,
+    and leaves neither the output nor its temporary file."""
+    monkeypatch.setattr(evaluation, "MIN_PORT_SEPARATION_DEG", 120.0)
+    assert main(["gen", "--ports", "3", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr() == ("", "error: cannot place ports with the required separation\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_self_is_perfect(tiny_train, capsys):

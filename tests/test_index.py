@@ -130,21 +130,23 @@ def test_ties_and_duplicates_match_brute_sweep():
             assert (table.radius[table.offsets[-1]:] == 0.0).all()
             assert (table.near[table.offsets[-1]:] == 0.0).all()
             got_ids, got_d, scanned = table.nearest(queries)
-            for g, ((p, i), view) in enumerate(zip(ports, tree.groups(), strict=True)):
+            for g, (p, i) in enumerate(ports):
                 assert ((1 <= scanned[:, g]) & (scanned[:, g] <= table.counts[g])).all()
                 for k, q in enumerate(queries):
                     assert (int(got_ids[k, g]), float(got_d[k, g])) == brute_nearest(p, q, i)
                 alone = BallTree(p, ids=i, leaf_size=leaf_size)
                 width = alone.table.ids.shape[1]
-                group = view.table
-                assert view.n_points == alone.n_points and view.leaf_count == alone.leaf_count
-                assert same_bits(group.points[:, :, :width], alone.table.points)
-                assert same_bits(group.ids[:, :width], alone.table.ids)
-                assert np.isinf(group.points[:, :, width:]).all()
-                assert (group.ids[:, width:] == _NO_ID).all()
-                assert same_bits(group.centroid, alone.table.centroid)
-                assert same_bits(group.radius, alone.table.radius)
-                assert same_bits(group.near, alone.table.near)
+                group = slice(table.offsets[g], table.offsets[g] + table.counts[g])
+                points, group_ids = table.points[group], table.ids[group]
+                assert int(np.isfinite(points[:, 0]).sum()) == alone.n_points
+                assert table.counts[g] == alone.leaf_count
+                assert same_bits(points[:, :, :width], alone.table.points)
+                assert same_bits(group_ids[:, :width], alone.table.ids)
+                assert np.isinf(points[:, :, width:]).all()
+                assert (group_ids[:, width:] == _NO_ID).all()
+                assert same_bits(table.centroid[group], alone.table.centroid)
+                assert same_bits(table.radius[group], alone.table.radius)
+                assert same_bits(table.near[group], alone.table.near)
             for q in queries:
                 assert tree.nearest(q) == brute_nearest(all_pts, q, all_ids)
 
@@ -486,10 +488,10 @@ def test_tied_lattice_splits_at_the_median_row():
 
 
 def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
-    """Training builds one tree whose groups are the ports, and its table is
-    the model's; each port's tree reads its group of that table, and the
-    group holds the leaves a tree built on the port's points alone holds,
-    with the same centroid terms of the leaf bounds."""
+    """Training builds one tree whose groups are the ports, and keeps its
+    table; each port's tree, which per_port builds from the port's map alone,
+    holds the leaves of the port's group of that table, with the same
+    centroid terms of the leaf bounds."""
     monkeypatch.setattr(classifier, "DEFAULT_LEAF_SIZE", 8)
     model = train(canonical_routes, ModelParams())
     assert len(model.per_port) > 1
@@ -498,18 +500,15 @@ def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):
     assert np.array_equal(t.c_sq, np.einsum("ij,ij->i", t.centroid, t.centroid))
     assert t.c_max == max(math.sqrt(t.c_sq.max()), NORM_FLOOR)
     for g, ix in enumerate(model.per_port.values()):
-        lo, hi = model.table.offsets[g], model.table.offsets[g] + model.table.counts[g]
-        group = ix.tree.table
-        assert np.shares_memory(group.points, model.table.points)
-        for name in ("points", "ids", "centroid", "radius", "near"):
-            assert np.array_equal(getattr(group, name), getattr(model.table, name)[lo:hi])
-        pts = list(ix.points.values())
-        alone = BallTree(embed_points(pts, model.params.weights),
-                         ids=[p.point_id for p in pts], leaf_size=8).table
-        for name in ("centroid", "radius", "near", "m2ct", "c_sq"):
-            assert np.array_equal(getattr(group, name), getattr(alone, name))
-        assert group.c_max == alone.c_max
-        for (ids_a, pts_a), (ids_b, pts_b) in zip(table_rows(group), table_rows(alone),
+        lo, hi = t.offsets[g], t.offsets[g] + t.counts[g]
+        alone = ix.tree.table
+        assert ix.tree.n_points == len(ix.points) == int(np.isfinite(t.points[lo:hi, 0]).sum())
+        assert ix.tree.leaf_count == t.counts[g]
+        for name in ("centroid", "radius", "near", "c_sq"):
+            assert np.array_equal(getattr(t, name)[lo:hi], getattr(alone, name))
+        assert np.array_equal(t.m2ct[:, lo:hi], alone.m2ct)
+        assert max(math.sqrt(t.c_sq[lo:hi].max()), NORM_FLOOR) == alone.c_max
+        for (ids_a, pts_a), (ids_b, pts_b) in zip(table_rows(t, g), table_rows(alone),
                                                   strict=True):
             assert np.array_equal(ids_a, ids_b)
             assert np.array_equal(pts_a, pts_b)

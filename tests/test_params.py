@@ -54,6 +54,17 @@ def test_comments_and_blank_lines():
     assert params.p_speed == 8.0
 
 
+def test_one_leading_byte_order_mark_is_dropped(tmp_path):
+    text = "penalty.course = 2.5\nsmoothing.enabled = false\n"
+    assert parse_params(text) != ModelParams()
+    assert parse_params("\ufeff" + text) == parse_params(text)
+    path = tmp_path / "bom.params"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_params(str(path)) == parse_params(text)
+    with pytest.raises(ParamsError, match="line 1: unknown key"):
+        parse_params("\ufeff\ufeff" + text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ParamsError, match="unknown key"):
         parse_params("magnitude.w = 0.5\n")

@@ -179,6 +179,48 @@ def test_evolve_thread_invariance(canonical_routes):
     assert [h.best_fitness for h in hist_seq] == [h.best_fitness for h in hist_par]
 
 
+def synthetic_routes(seed):
+    routes = partition_routes(synth_records(SyntheticConfig(
+        n_ports=3, routes_per_port=8, points_min=10, points_max=20, seed=seed)))
+    for r in routes:
+        enrich_route(r)
+    return routes
+
+
+SWEEP_PARAMS = {
+    "defaults": ModelParams(),
+    "random": Genome.from_array(np.random.default_rng(35).uniform(GENE_LOW, GENE_HIGH)).to_params(),
+    "flat": ModelParams(p_course=0.0, p_heading=0.0, p_speed=0.0, p_dist=0.0,
+                        smoothing_enabled=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PARAMS))
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_score_dataset_threaded_equals_serial_sweep(seed, name):
+    """Per-route rows and means are bit-equal at 1, 2 and 5 workers, for a
+    model trained from routes and for one whose prepared set's terms table a
+    first pass has already filled."""
+    params = SWEEP_PARAMS[name]
+    tr, val = split_routes(synthetic_routes(seed), 0.7, seed=seed)
+    train_set = prepare(tr)
+    score_dataset(train(train_set, params), val)
+    assert train_set.terms_table
+    for model in (train(tr, params), train(train_set, params)):
+        serial = score_dataset(model, val, workers=1)
+        for workers in (2, 5):
+            threaded = score_dataset(model, val, workers=workers)
+            assert threaded.per_route == serial.per_route
+            assert (threaded.avg_earliness, threaded.mae_minutes) == \
+                   (serial.avg_earliness, serial.mae_minutes)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_evolve_threaded_equals_serial_sweep(seed):
+    routes, cfg = synthetic_routes(seed), GaConfig(population=6, generations=2, seed=seed)
+    assert repr(evolve(routes, cfg, workers=1)) == repr(evolve(routes, cfg, workers=3))
+
+
 def test_history_csv_shape():
     _, hist = evolve(make_routes([
         ("S1", "PORTA", [(0.0, 0.0, 0), (1.0, 0.0, 3600)]),
@@ -407,7 +449,7 @@ def test_train_on_prepared_set_equals_train_on_routes():
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert [ix.tree.n_points for ix in prepared.per_port.values()] == \
                [ix.tree.n_points for ix in direct.per_port.values()]
-        # the views share the set's point maps
+        # per_port hands out the set's own point maps
         assert all(ix.points is m for ix, m in zip(prepared.per_port.values(),
                                                    train_set.points.values()))
     assert train_set.coordinates.tobytes() == before
@@ -418,22 +460,35 @@ def test_train_on_prepared_set_equals_train_on_routes():
 
 
 def test_no_query_path_builds_per_port_views(monkeypatch):
-    """train, replay_route, score_dataset and evolve read the model's one tree
-    and its port maps, never a per-port view; Model.per_port builds the same
-    views on every read, over the set's own maps."""
+    """train builds one tree and keeps its table; replay_route and
+    score_dataset build none, and evolve one per fitness call. Model.per_port
+    builds each port's tree on every read, over the set's own maps."""
     routes = antimeridian_routes(31)
     tr, val = split_routes(routes, 0.7, seed=1)
     train_set = prepare(tr)
+    plain_init, plain_fitness = BallTree.__init__, portcall.tuner.fitness
+    builds, fitness_calls = [], []
 
-    def no_views(self):
-        raise AssertionError("BallTree.groups() called")
+    def counted_init(self, *args, **kwargs):
+        builds.append(self)
+        plain_init(self, *args, **kwargs)
+
+    def counted_fitness(*args, **kwargs):
+        fitness_calls.append(args[0])
+        return plain_fitness(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(BallTree, "groups", no_views)
-        direct, prepared = train(tr, ModelParams()), train(train_set, ModelParams())
+        m.setattr(BallTree, "__init__", counted_init)
+        m.setattr(portcall.tuner, "fitness", counted_fitness)
+        direct = train(tr, ModelParams())
+        assert len(builds) == 1
+        prepared = train(train_set, ModelParams())
+        assert len(builds) == 2
         assert replay_route(direct, val[0]) == replay_route(prepared, val[0])
         score_dataset(prepared, val, workers=2)
+        assert len(builds) == 2
         evolve(routes, GaConfig(population=3, generations=1, seed=0))
+        assert fitness_calls and len(builds) == 2 + len(fitness_calls)
     first, second = prepared.per_port, prepared.per_port
     assert list(first) == list(second) == prepared.ports == list(train_set.points)
     assert ([ix.tree.n_points for ix in first.values()]
