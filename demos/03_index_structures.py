@@ -31,7 +31,7 @@ def main() -> None:
 
     ball = BallTree(pts, leaf_size=32)
     print(f"ball tree: {ball.leaf_count} leaves of at most {ball.leaf_size} points, "
-          f"containment slack {ball.containment_slack():.2e}")
+          f"containment slack {ball.table.containment_slack():.2e}")
 
     # agreement gate before any timing
     for q in queries[:50]:

@@ -64,9 +64,9 @@ class ModelParams:
                 raise ValueError(f"{name}={value} must be finite and >= 0")
 
 
-@dataclass
-class PortIndex:
-    """A port's own ball tree, built from its point map, and that map."""
+class PortIndex(NamedTuple):
+    """A port's own ball tree, built from its point map, and that map. The
+    benchmark's gate and trace are its last readers (ROADMAP.md)."""
 
     tree: BallTree
     points: dict[int, RoutePoint]
@@ -96,8 +96,9 @@ class Model:
 
     @property
     def per_port(self) -> dict[str, PortIndex]:
-        """Each port's tree, built from its map on every read, for readers
-        outside the query path; its leaves are the port's group of the table."""
+        """Each port's tree, built from its map on every read; its leaves are
+        the port's group of the table. The benchmark's gate and trace are
+        its last readers, until they read the table (ROADMAP.md)."""
         w = self.params.weights
         return {port: PortIndex(BallTree(embed_points(list(m.values()), w), ids=list(m),
                                          leaf_size=DEFAULT_LEAF_SIZE), m)

@@ -32,7 +32,8 @@ class FeatureWeights:
 
 def embed(lat_deg: float, lon_deg: float, bearing_deg: float,
           w: FeatureWeights) -> np.ndarray:
-    """Embed one point: a block of one of embed_arrays."""
+    """Embed one point: a block of one of embed_arrays. The benchmark's gate
+    and trace are its last readers, until they call embed_arrays (ROADMAP.md)."""
     return embed_arrays(np.array([lat_deg]), np.array([lon_deg]), np.array([bearing_deg]), w)[0]
 
 

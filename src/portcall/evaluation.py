@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import acos, asin, atan2, cos, degrees, radians, sin
+from math import acos, asin, atan2, cos, degrees, pi, radians, sin
 
 import numpy as np
 
@@ -122,6 +122,8 @@ class SyntheticConfig:
 
 
 MIN_PORT_SEPARATION_DEG = 5.0
+PORT_LAT_MAX_DEG = 55.0  # ports are drawn uniformly from |lat| <= 55, |lon| <= 165
+PORT_LON_MAX_DEG = 165.0
 NOISE_SIGMA_DEG = 0.05  # positional noise on each fix, per axis
 SPEED_MIN_KNOTS = 10.0  # each route cruises at a speed drawn from this range
 SPEED_MAX_KNOTS = 20.0
@@ -140,6 +142,13 @@ def _latlon(u: np.ndarray) -> tuple[float, float]:
 
 
 def _place_ports(cfg: SyntheticConfig, rng: np.random.Generator) -> list[tuple[str, float, float]]:
+    # caps of half the separation round the ports are disjoint and lie in the
+    # sampling box widened by a cap's reach (asin(sin r / cos lat) in longitude,
+    # or round a pole), so no more ports fit than that area holds caps
+    r, lat_max = radians(MIN_PORT_SEPARATION_DEG / 2), radians(PORT_LAT_MAX_DEG)
+    lon_span = min(2 * pi, 2 * (radians(PORT_LON_MAX_DEG) + asin(min(1.0, sin(r) / cos(lat_max)))))
+    if cfg.n_ports * 2 * pi * (1 - cos(r)) > lon_span * 2 * sin(min(pi / 2, lat_max + r)):
+        raise ValueError("cannot place ports with the required separation")
     ports: list[tuple[str, float, float]] = []
     min_rad = radians(MIN_PORT_SEPARATION_DEG)
     attempts = 0
@@ -147,8 +156,8 @@ def _place_ports(cfg: SyntheticConfig, rng: np.random.Generator) -> list[tuple[s
         attempts += 1
         if attempts > 10000:
             raise ValueError("cannot place ports with the required separation")
-        lat = float(rng.uniform(-55.0, 55.0))
-        lon = float(rng.uniform(-165.0, 165.0))
+        lat = float(rng.uniform(-PORT_LAT_MAX_DEG, PORT_LAT_MAX_DEG))
+        lon = float(rng.uniform(-PORT_LON_MAX_DEG, PORT_LON_MAX_DEG))
         u = _unit(lat, lon)
         ok = True
         for _, plat, plon in ports:

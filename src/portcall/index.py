@@ -133,6 +133,12 @@ class LeafTable:
         self.c_sq = np.einsum("ij,ij->i", centroid, centroid)
         self.c_max = max(math.sqrt(self.c_sq.max()), NORM_FLOOR)
 
+    def containment_slack(self) -> float:
+        """Max over points of (distance to its leaf's centroid - that leaf's
+        radius); <= 0 when every point lies inside its leaf's ball."""
+        slack = _norms(self.points - self.centroid[:, :, None]) - self.radius[:, None]
+        return float(slack[np.isfinite(self.points[:, 0])].max())
+
     def nearest(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact nearest point of every group to every query row.
 
@@ -291,10 +297,3 @@ class BallTree:
         ids, dist, _ = self.table.nearest(q[None])
         best = dist.min()  # the least distance over the groups, then the least id at it
         return int(ids[dist == best].min()), float(best)
-
-    def containment_slack(self) -> float:
-        """Max over points of (distance to its leaf's centroid - that leaf's
-        radius); <= 0 when every point lies inside its leaf's ball."""
-        t = self.table
-        slack = _norms(t.points - t.centroid[:, :, None]) - t.radius[:, None]
-        return float(slack[np.isfinite(t.points[:, 0])].max())

@@ -22,9 +22,11 @@ penalties: the same floats multiplied in the same order, so every
 similarity and every fitness keeps its bits. The table holds at most
 (held-out fixes) x (distinct candidates per fix) pairs and is dropped with
 the set when ``evolve`` returns. The benchmark's tune-small run (population
-16, 3 generations) looks up 50,388 pairs, 5,284 of them distinct (1.1 MB);
-the CLI-default ``tune`` of the canonical data keeps 116,707 pairs, which
-raise its peak RSS from 60 to 87 MB.
+16, 3 generations) looks up 50,388 pairs, 5,284 of them distinct (1.1 MB),
+and its ``evolve`` takes 0.27 s against 0.38 s with each ``fitness`` call
+given a fresh empty table (medians of 9 alternating runs in one process,
+one worker, 2-vCPU Xeon); the CLI-default ``tune`` of the canonical data
+keeps 116,707 pairs, which raise its peak RSS from 60 to 87 MB.
 """
 
 from __future__ import annotations

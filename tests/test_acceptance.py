@@ -183,8 +183,7 @@ def test_criterion_9_invariant_sweeps(capsys, canonical_routes):
             assert all(b <= a for a, b in zip(remaining, remaining[1:]))
 
         model = train(canonical_routes, ModelParams())
-        for port in model.ports:
-            assert model.per_port[port].tree.containment_slack() <= 0.0
+        assert model.table.containment_slack() <= 0.0
 
         scores = score_dataset(model, canonical_routes[:40], workers=1)
         for _, e, m in scores.per_route:

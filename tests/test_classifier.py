@@ -16,7 +16,7 @@ from portcall.classifier import (
     similarity,
     train,
 )
-from portcall.embedding import FeatureWeights, embed
+from portcall.embedding import FeatureWeights, embed_arrays
 from portcall.geo import EARTH_RADIUS_KM, great_circle_km
 from portcall.index import brute_nearest
 from portcall.ingest import AIS_HEADER, AisRecord, parse_ais_csv
@@ -62,11 +62,15 @@ TWO_PORT_LANES = [
 ]
 
 
+def group_sizes(table):
+    """The number of points in each group of a leaf table: its finite slots."""
+    return np.add.reduceat(np.isfinite(table.points[:, 0]).sum(axis=1), table.offsets).tolist()
+
+
 def test_train_one_tree_per_port():
     model = train(build_routes(TWO_PORT_LANES), ModelParams())
     assert model.ports == ["PORTA", "PORTB"]
-    assert model.per_port["PORTA"].tree.n_points == 3
-    assert model.per_port["PORTB"].tree.n_points == 4
+    assert group_sizes(model.table) == [len(m) for m in model.points.values()] == [3, 4]
     assert model.n_points == 7
     assert repr(model) == f"Model(params={model.params!r})"  # not every training point
 
@@ -78,7 +82,7 @@ def test_train_same_port_merges():
     ]
     model = train(build_routes(voyages), ModelParams())
     assert model.ports == ["PORTA"]
-    assert model.per_port["PORTA"].tree.n_points == 4
+    assert group_sizes(model.table) == [len(model.points["PORTA"])] == [4]
 
 
 def test_train_rejects_repeated_point_ids():
@@ -140,8 +144,6 @@ def test_prepare_raises_each_train_error():
 
 
 def test_candidates_one_per_port_and_brute_agreement():
-    from portcall.embedding import embed_arrays
-
     voyages = TWO_PORT_LANES + [
         ("S3", "PORTC", [(0.0, -5.0, 0), (1.0, -5.0, 3600), (2.0, -5.0, 7200)]),
     ]
@@ -153,11 +155,11 @@ def test_candidates_one_per_port_and_brute_agreement():
     assert ids.shape == dists.shape == (1, 3)
     assert model.ports == ["PORTA", "PORTB", "PORTC"]
 
-    qv = embed(q.record.lat_deg, q.record.lon_deg, q.bearing_deg,
-               model.params.weights)
+    qv = embed_arrays(np.array([q.record.lat_deg]), np.array([q.record.lon_deg]),
+                      np.array([q.bearing_deg]), model.params.weights)[0]
     for port, cand_id, dist in zip(model.ports, ids[0].tolist(), dists[0].tolist()):
         pts = [p for r in routes if r.arrival_port == port for p in r.points]
-        assert cand_id in model.per_port[port].points
+        assert cand_id in model.points[port]
         data = embed_arrays(np.array([p.record.lat_deg for p in pts]),
                             np.array([p.record.lon_deg for p in pts]),
                             np.array([p.bearing_deg for p in pts]),
@@ -379,7 +381,7 @@ def test_classify_arrival_follows_winner_even_when_smoothing_overrides():
     # smoothing holds PORTA, but the arrival comes from the PORTB winner
     assert second.raw_port == "PORTB"
     assert second.port == "PORTA"
-    winner = model.per_port["PORTB"].points[second.chosen_point_id]
+    winner = model.points["PORTB"][second.chosen_point_id]
     assert second.arrival == 200 + winner.remaining_time_s
 
 

@@ -65,6 +65,20 @@ def test_gen_ports_that_cannot_be_placed_exit_1(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_ports_that_cannot_fit_fail_before_any_draw(tmp_path, capsys):
+    """2,000 caps of 2.5 degrees cannot fit in the widened sampling box (it
+    holds about 1,670), so placement fails at once, leaving the generator as
+    it was, and gen reports it as the one error line."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="cannot place ports with the required separation"):
+        evaluation._place_ports(SyntheticConfig(n_ports=2000), rng)
+    assert rng.bit_generator.state == state
+    assert main(["gen", "--ports", "2000", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr() == ("", "error: cannot place ports with the required separation\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_self_is_perfect(tiny_train, capsys):
     assert main(["evaluate", "--train", str(tiny_train),
                  "--test", str(tiny_train), "--threads", "1"]) == 0

@@ -249,7 +249,7 @@ def test_distances_sum_in_one_written_out_order_sweep():
             dist = [ordered_norm([float(a) - float(b) for a, b in zip(p, c)]) for p in leaf_pts]
             assert radius == max(dist) and near == min(dist)
             assert 0.0 <= near <= radius
-        assert tree.containment_slack() == 0.0
+        assert tree.table.containment_slack() == 0.0
     assert other_order > 0
 
 
@@ -419,7 +419,7 @@ def test_ball_containment_invariant():
     for n in (1, 10, 100, 1000):
         pts = random_instance(rng, n)
         tree = BallTree(pts, leaf_size=8)
-        assert tree.containment_slack() <= 0.0
+        assert tree.table.containment_slack() <= 0.0
 
 
 def table_rows(table, g=0):
@@ -468,7 +468,7 @@ def test_leaves_tile_the_points_sweep():
             row_of = {pid: k for k, pid in enumerate(ids.tolist())}
             got_pts = np.concatenate([leaf_pts for _, leaf_pts in rows])
             assert np.array_equal(got_pts, pts[[row_of[pid] for pid in got_ids.tolist()]])
-            assert tree.containment_slack() <= 0.0
+            assert tree.table.containment_slack() <= 0.0
 
 
 def test_tied_lattice_splits_at_the_median_row():
@@ -484,7 +484,7 @@ def test_tied_lattice_splits_at_the_median_row():
         tree = BallTree(pts, ids=ids, leaf_size=leaf_size)
         assert ([len(leaf_ids) for leaf_ids, _ in table_rows(tree.table)]
                 == [len(leaf) for leaf in median_split_leaves(pts, ids, leaf_size)])
-        assert tree.containment_slack() <= 0.0
+        assert tree.table.containment_slack() <= 0.0
 
 
 def test_model_table_groups_are_the_port_trees(canonical_routes, monkeypatch):

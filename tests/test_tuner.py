@@ -31,6 +31,7 @@ from portcall.tuner import (
     history_csv,
     split_routes,
 )
+from tests.test_classifier import group_sizes
 
 
 def make_routes(voyages):
@@ -447,11 +448,9 @@ def test_train_on_prepared_set_equals_train_on_routes():
         for name in ("points", "ids", "centroid", "radius", "near"):
             a, b = getattr(prepared.table, name), getattr(direct.table, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        assert [ix.tree.n_points for ix in prepared.per_port.values()] == \
-               [ix.tree.n_points for ix in direct.per_port.values()]
-        # per_port hands out the set's own point maps
-        assert all(ix.points is m for ix, m in zip(prepared.per_port.values(),
-                                                   train_set.points.values()))
+        assert group_sizes(prepared.table) == group_sizes(direct.table)
+        # the model holds the set's own point maps
+        assert all(a is m for a, m in zip(prepared.points.values(), train_set.points.values()))
     assert train_set.coordinates.tobytes() == before
     # an in-place embedding would corrupt every later fit
     for a in train_set.coordinates:
