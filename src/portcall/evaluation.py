@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import acos, asin, atan2, cos, degrees, pi, radians, sin
+from math import acos, asin, atan2, cos, degrees, radians, sin
 
 import numpy as np
 
@@ -85,7 +85,7 @@ def score_dataset(model: Model, routes: list[Route], workers: int = 1) -> Scores
     if workers <= 1:
         per_route = [score_route(model, r) for r in routes]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(routes))) as pool:
             per_route = list(pool.map(lambda r: score_route(model, r), routes))
     n = len(per_route)
     return Scores(
@@ -142,32 +142,21 @@ def _latlon(u: np.ndarray) -> tuple[float, float]:
 
 
 def _place_ports(cfg: SyntheticConfig, rng: np.random.Generator) -> list[tuple[str, float, float]]:
-    # caps of half the separation round the ports are disjoint and lie in the
-    # sampling box widened by a cap's reach (asin(sin r / cos lat) in longitude,
-    # or round a pole), so no more ports fit than that area holds caps
-    r, lat_max = radians(MIN_PORT_SEPARATION_DEG / 2), radians(PORT_LAT_MAX_DEG)
-    lon_span = min(2 * pi, 2 * (radians(PORT_LON_MAX_DEG) + asin(min(1.0, sin(r) / cos(lat_max)))))
-    if cfg.n_ports * 2 * pi * (1 - cos(r)) > lon_span * 2 * sin(min(pi / 2, lat_max + r)):
-        raise ValueError("cannot place ports with the required separation")
+    # a draw is kept when no placed port's unit vector is within the
+    # separation of it; the separation is read per call (tests patch it)
+    max_dot = cos(radians(MIN_PORT_SEPARATION_DEG))
     ports: list[tuple[str, float, float]] = []
-    min_rad = radians(MIN_PORT_SEPARATION_DEG)
-    attempts = 0
-    while len(ports) < cfg.n_ports:
-        attempts += 1
-        if attempts > 10000:
-            raise ValueError("cannot place ports with the required separation")
+    units = np.empty((0, 3))
+    for _ in range(10000):
         lat = float(rng.uniform(-PORT_LAT_MAX_DEG, PORT_LAT_MAX_DEG))
         lon = float(rng.uniform(-PORT_LON_MAX_DEG, PORT_LON_MAX_DEG))
         u = _unit(lat, lon)
-        ok = True
-        for _, plat, plon in ports:
-            sep = acos(max(-1.0, min(1.0, float(np.dot(u, _unit(plat, plon))))))
-            if sep < min_rad:
-                ok = False
-                break
-        if ok:
+        if not (units @ u > max_dot).any():
             ports.append((f"PORT_{len(ports):02d}", lat, lon))
-    return ports
+            if len(ports) == cfg.n_ports:
+                return ports
+            units = np.vstack([units, u])
+    raise ValueError("cannot place ports with the required separation")
 
 
 def _slerp_path(a: np.ndarray, b: np.ndarray, n: int) -> list[np.ndarray]:

@@ -4,6 +4,7 @@ Run with plain pytest; each criterion prints its verdict to the real
 terminal even under output capture.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -158,6 +159,10 @@ def test_criterion_8_ball_tree_beats_brute(capsys, tmp_path):
         big = tmp_path / "big.csv"
         assert main(["gen", "--ports", "10", "--routes-per-port", "250",
                      "--seed", "42", "--out", str(big)]) == 0
+        # the generator's bytes for this set are pinned like the smaller ones
+        # in test_evaluation, without generating it twice
+        assert hashlib.sha256(big.read_bytes()).hexdigest() == \
+            "c14c5055cb6c2df9cc4b586e7cd48db58ad47044521154ce4bff2a1d020e6a75"
         header = capsys.readouterr().out
         n_points = int(header.split("points=")[1].split()[0])
         assert n_points >= 100_000

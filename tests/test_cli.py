@@ -65,15 +65,25 @@ def test_gen_ports_that_cannot_be_placed_exit_1(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_gen_ports_that_cannot_fit_fail_before_any_draw(tmp_path, capsys):
-    """2,000 caps of 2.5 degrees cannot fit in the widened sampling box (it
-    holds about 1,670), so placement fails at once, leaving the generator as
-    it was, and gen reports it as the one error line."""
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="cannot place ports with the required separation"):
-        evaluation._place_ports(SyntheticConfig(n_ports=2000), rng)
-    assert rng.bit_generator.state == state
+def test_gen_ports_that_cannot_fit_fail_within_the_draw_cap(tmp_path, capsys):
+    """Placement gives up after 10,000 draws (two uniform values each), and
+    gen reports it as the one error line."""
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = np.random.default_rng(seed)
+            self.values = 0
+
+        def uniform(self, *args, **kwargs):
+            out = self.rng.uniform(*args, **kwargs)
+            self.values += np.size(out)
+            return out
+
+    for n_ports in (1000, 1667, 2000):
+        rng = CountingRng(0)
+        with pytest.raises(ValueError, match="cannot place ports with the required separation"):
+            evaluation._place_ports(SyntheticConfig(n_ports=n_ports), rng)
+        assert 0 < rng.values <= 20_000
     assert main(["gen", "--ports", "2000", "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr() == ("", "error: cannot place ports with the required separation\n")
     assert list(tmp_path.iterdir()) == []

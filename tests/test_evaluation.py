@@ -1,8 +1,13 @@
 """Scoring metrics, replay semantics, and the synthetic data generator."""
 
+import hashlib
+from concurrent.futures import ThreadPoolExecutor
+from math import acos, radians
+
 import numpy as np
 import pytest
 
+from portcall import evaluation
 from portcall.classifier import ModelParams, Prediction, train
 from portcall.evaluation import (
     KNOTS_TO_KM_S,
@@ -173,6 +178,22 @@ def test_score_dataset_thread_invariance(canonical_routes):
     assert seq.mae_minutes == par.mae_minutes
 
 
+def test_score_dataset_starts_no_more_threads_than_routes(canonical_routes, monkeypatch):
+    asked = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", RecordingPool)
+    model = train(canonical_routes[:20], ModelParams())
+    routes = canonical_routes[20:23]
+    many = score_dataset(model, routes, workers=10**6)
+    assert asked == [3]
+    assert scores_csv(many) == scores_csv(score_dataset(model, routes, workers=1))
+
+
 def test_earliness_bounds(canonical_routes):
     model = train(canonical_routes[:40], ModelParams())
     scores = score_dataset(model, canonical_routes[40:60], workers=1)
@@ -186,6 +207,58 @@ def test_synthetic_deterministic():
     assert gen_synthetic(cfg) == gen_synthetic(cfg)
     other = SyntheticConfig(n_ports=3, routes_per_port=2, seed=10)
     assert gen_synthetic(other) != gen_synthetic(cfg)
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (SyntheticConfig(), "d4af78754f882d9f0503ab7902bb49a6794fb2feec284be3717c0d621aa0a8b8"),
+    (SyntheticConfig(n_ports=4, routes_per_port=10, points_min=20, points_max=35, seed=1),
+     "711ef2b049f715c3e1187c1c5aa0c529b8d2d61bbd65d6477616c2c1f22e6317"),
+    # enough ports that many draws are rejected for the separation
+    (SyntheticConfig(n_ports=60, routes_per_port=1, seed=5),
+     "d9bd9e1cda6954d4992d24a32b884831fb2537dcf1abfa71082dab8657de8c87"),
+], ids=["canonical", "tune-small", "60-ports"])
+def test_synthetic_bytes_are_pinned(cfg, digest):
+    """Generator changes must leave today's datasets byte-identical."""
+    assert hashlib.sha256(gen_synthetic(cfg).encode()).hexdigest() == digest
+
+
+def oracle_place_ports(n_ports, rng):
+    """The per-pair rule: a draw is kept when its angle to every placed port,
+    acos of the clamped dot product of unit vectors, is at least the
+    separation. Each placed port's vector comes from `_unit` once, the same
+    value a rebuild per pair gives."""
+    min_rad = radians(evaluation.MIN_PORT_SEPARATION_DEG)
+    ports, units = [], []
+    for _ in range(10000):
+        lat = float(rng.uniform(-evaluation.PORT_LAT_MAX_DEG, evaluation.PORT_LAT_MAX_DEG))
+        lon = float(rng.uniform(-evaluation.PORT_LON_MAX_DEG, evaluation.PORT_LON_MAX_DEG))
+        u = evaluation._unit(lat, lon)
+        for p in units:
+            if acos(max(-1.0, min(1.0, float(np.dot(u, p))))) < min_rad:
+                break
+        else:
+            ports.append((f"PORT_{len(ports):02d}", lat, lon))
+            units.append(u)
+            if len(ports) == n_ports:
+                return ports
+    raise ValueError("cannot place ports with the required separation")
+
+
+def test_place_ports_matches_the_per_pair_rule():
+    """Placement stops at the n-th kept draw, so with one seed the list for
+    n ports is the first n of the list for more; one oracle run per seed
+    covers every count."""
+    counts = (2, 3, 4, 5, 8, 10, 20, 50, 120)
+    for seed in range(300):
+        expected = oracle_place_ports(max(counts), np.random.default_rng(seed))
+        units = np.array([evaluation._unit(lat, lon) for _, lat, lon in expected])
+        angles = np.degrees(np.arccos(np.clip(units @ units.T, -1.0, 1.0)))
+        np.fill_diagonal(angles, 180.0)
+        assert angles.min() >= evaluation.MIN_PORT_SEPARATION_DEG - 1e-9
+        for n in counts:
+            placed = evaluation._place_ports(SyntheticConfig(n_ports=n),
+                                             np.random.default_rng(seed))
+            assert placed == expected[:n], (seed, n)
 
 
 def test_synthetic_counts_and_structure(canonical_records):
